@@ -6,17 +6,24 @@ the cylinder [w]. A table extends to an invariant Borel probability
 measure iff it is normalized (p_empty = 1), consistent
 (p_{w0} + p_{w1} = p_w) and shift-invariant (p_{0w} + p_{1w} = p_w).
 
+Level n is one read-only numpy array of length 2^n that holds p_w at
+index int(w, 2). The children w0, w1 of index i sit at 2i and 2i+1, and
+the words 0w, 1w at i and 2^n + i, so the laws above are slice sums.
+Word strings appear only at the edges: the mappings accepted by
+:class:`CylinderTable`, :meth:`CylinderTable.prob`,
+:meth:`CylinderTable.level` and :attr:`Violation.word`.
+
 Tables come in two arithmetic modes. "exact" tables hold
-:class:`fractions.Fraction` entries and are checked with tolerance 0;
-"float" tables hold doubles and are checked with a small tolerance.
-Tables are immutable after construction and safe to share across
-threads.
+:class:`fractions.Fraction` entries in object arrays and are checked
+with tolerance 0; "float" tables hold float64 and are checked with a
+small tolerance. Every mass is finite. Tables are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,42 +43,82 @@ def _is_exact(value):
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def _index(word):
+    """Position of `word` within its level: the word read in binary."""
+    return int(word, 2) if word else 0
+
+
+def _word(index, n):
+    """The word of length n stored at `index`."""
+    return format(index, f"0{n}b") if n else ""
+
+
+def _infer_mode(levels):
+    values = (p for level in levels
+              for p in (level.values() if isinstance(level, Mapping) else level))
+    return EXACT if all(map(_is_exact, values)) else FLOAT
+
+
+def _as_level(n, level, mode):
+    """Level n as a read-only array in index order, from a word mapping
+    or a sequence of 2^n masses; every mass must be finite."""
+    if isinstance(level, Mapping):
+        values = [None] * (1 << n)
+        for word, p in level.items():
+            check_word(word)
+            if len(word) != n:
+                raise StructuralError(f"word {word!r} stored at level {n}")
+            values[_index(word)] = p
+        if len(level) != 1 << n:
+            missing = _word(values.index(None), n)
+            raise StructuralError(f"missing cylinder {missing!r} at level {n}")
+        level = values
+    elif len(level) != 1 << n:
+        raise StructuralError(f"level {n} needs {1 << n} masses, got {len(level)}")
+    try:
+        if mode == EXACT:
+            arr = np.empty(len(level), dtype=object)
+            arr[:] = [p if type(p) is Fraction else Fraction(p) for p in level]
+        else:
+            arr = np.array(level, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"bad mass at level {n}: {exc}") from None
+    if arr.shape != (1 << n,):
+        raise StructuralError(f"level {n} needs {1 << n} scalar masses")
+    if mode == FLOAT and not np.isfinite(arr).all():
+        i = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise StructuralError(f"non-finite mass {arr[i]} at {_word(i, n)!r}")
+    arr.flags.writeable = False
+    return arr
+
+
 class CylinderTable:
     """Cylinder masses p_w for all binary words up to a fixed depth.
 
     Parameters
     ----------
-    levels : sequence of mappings
-        levels[n] maps words of length n to masses; there must be at
+    levels : sequence of mappings or sequences
+        levels[n] maps every word of length n to its mass, or lists the
+        2^n masses with word w at index int(w, 2); there must be at
         least levels 0 and 1 (depth >= 1).
     mode : "exact", "float" or None
         Arithmetic tag. When None, the table is "exact" iff every entry
         is an int or Fraction; entries are coerced to the tagged type.
+        A missing word or a non-finite mass raises StructuralError.
     """
 
     __slots__ = ("_levels", "_mode")
 
     def __init__(self, levels, mode=None):
-        levels = [dict(level) for level in levels]
+        levels = list(levels)
         if len(levels) < 2:
             raise StructuralError("a table needs levels 0..N with N >= 1")
-        for n, level in enumerate(levels):
-            for word in level:
-                check_word(word)
-                if len(word) != n:
-                    raise StructuralError(
-                        f"word {word!r} stored at level {n}")
         if mode is None:
-            mode = EXACT if all(
-                _is_exact(p) for level in levels for p in level.values()
-            ) else FLOAT
-        if mode == EXACT:
-            levels = [{w: Fraction(p) for w, p in lv.items()} for lv in levels]
-        elif mode == FLOAT:
-            levels = [{w: float(p) for w, p in lv.items()} for lv in levels]
-        else:
+            mode = _infer_mode(levels)
+        elif mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown arithmetic mode {mode!r}")
-        self._levels = levels
+        self._levels = tuple(_as_level(n, level, mode)
+                             for n, level in enumerate(levels))
         self._mode = mode
 
     @property
@@ -88,16 +135,13 @@ class CylinderTable:
         if len(word) > self.depth:
             raise StructuralError(
                 f"word {word!r} is deeper than the table (depth {self.depth})")
-        try:
-            return self._levels[len(word)][word]
-        except KeyError:
-            raise StructuralError(f"missing cylinder {word!r}") from None
+        return self._levels[len(word)].item(_index(word))
 
     def level(self, n):
         """Copy of the level-n mapping (word -> mass)."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} out of range 0..{self.depth}")
-        return dict(self._levels[n])
+        return dict(zip(all_words(n), self._levels[n].tolist()))
 
     def as_float(self):
         """Float-mode copy of this table."""
@@ -108,7 +152,10 @@ class CylinderTable:
     def __eq__(self, other):
         if not isinstance(other, CylinderTable):
             return NotImplemented
-        return self._mode == other._mode and self._levels == other._levels
+        return (self._mode == other._mode
+                and len(self._levels) == len(other._levels)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._levels, other._levels)))
 
     def __repr__(self):
         return f"CylinderTable(depth={self.depth}, mode={self._mode!r})"
@@ -124,11 +171,11 @@ def bernoulli_table(p, depth):
         one = 1.0
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    levels = [{"": one}]
-    for n in range(1, depth + 1):
-        prev = levels[-1]
-        levels.append({w + eps: pw * (p if eps == "0" else one - p)
-                       for w, pw in prev.items() for eps in "01"})
+    dtype = object if isinstance(p, Fraction) else float
+    digit = np.array([p, one - p], dtype=dtype)
+    levels = [np.array([one], dtype=dtype)]
+    for _ in range(depth):
+        levels.append(np.multiply.outer(levels[-1], digit).ravel())
     return CylinderTable(levels)
 
 
@@ -137,33 +184,34 @@ def point_mass_table(digit, depth):
     digit = str(digit)
     if digit not in ("0", "1"):
         raise ValueError("digit must be 0 or 1")
-    levels = [{"": Fraction(1)}]
-    for n in range(1, depth + 1):
-        levels.append({w: Fraction(1) if w == digit * n else Fraction(0)
-                       for w in all_words(n)})
+    levels = []
+    for n in range(depth + 1):
+        level = np.full(1 << n, Fraction(0), dtype=object)
+        level[0 if digit == "0" else -1] = Fraction(1)
+        levels.append(level)
     return CylinderTable(levels)
 
 
 def table_from_top_level(top, mode=None):
     """Build a table from its deepest level by summing children.
 
-    The resulting table is consistent by construction; invariance holds
-    iff the top level satisfies sum_e p_{ew} = sum_e p_{we}.
+    `top` maps every word of one length n >= 1 to its mass, or lists the
+    2^n masses in index order. The resulting table is consistent by
+    construction; invariance holds iff the top level satisfies
+    sum_e p_{ew} = sum_e p_{we}.
     """
-    words = sorted(top)
-    depth = len(words[0]) if words else 0
-    if depth < 1 or len(words) != 1 << depth or any(len(w) != depth for w in words):
+    if isinstance(top, Mapping):
+        depth = len(next(iter(top), ""))
+    else:
+        depth = len(top).bit_length() - 1
+    if depth < 1:
         raise StructuralError("top level must contain all words of one length n >= 1")
-    current = {w: top[w] for w in words}
-    stack = [current]
-    for n in range(depth, 0, -1):
-        parent = {}
-        for w in all_words(n - 1):
-            parent[w] = current[w + "0"] + current[w + "1"]
-        stack.append(parent)
-        current = parent
-    stack.reverse()
-    return CylinderTable(stack, mode=mode)
+    if mode is None:
+        mode = _infer_mode([top])
+    stack = [_as_level(depth, top, mode)]
+    while stack[-1].size > 1:
+        stack.append(stack[-1][0::2] + stack[-1][1::2])
+    return CylinderTable(stack[::-1], mode=mode)
 
 
 def truncate_table(table, depth):
@@ -175,16 +223,8 @@ def truncate_table(table, depth):
 
 def max_abs_deviation(table_a, table_b):
     """Largest |p_w(a) - p_w(b)| over all levels both tables share."""
-    depth = min(table_a.depth, table_b.depth)
-    dev = 0.0
-    for n in range(depth + 1):
-        la, lb = table_a._levels[n], table_b._levels[n]
-        for w in all_words(n):
-            try:
-                dev = max(dev, abs(float(la[w]) - float(lb[w])))
-            except KeyError:
-                raise StructuralError(f"missing cylinder {w!r}") from None
-    return dev
+    return max(float(np.abs(a.astype(float) - b.astype(float)).max())
+               for a, b in zip(table_a._levels, table_b._levels))
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +258,38 @@ class ValidationReport:
 def validate(table, tolerance=None):
     """Check normalization, consistency, invariance and 0 <= p_w <= 1.
 
-    Missing words raise :class:`StructuralError`; numeric violations are
-    collected in the report. `tolerance` defaults to 0 for exact tables
-    and to ``FLOAT_TOLERANCE`` for float tables.
+    Numeric violations are collected in the report. `tolerance`
+    defaults to 0 for exact tables and to ``FLOAT_TOLERANCE`` for float
+    tables.
     """
     if tolerance is None:
         tolerance = 0 if table.mode == EXACT else FLOAT_TOLERANCE
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
     levels = table._levels
-    depth = table.depth
-    for n in range(depth + 1):
-        level = levels[n]
-        if len(level) != 1 << n:
-            for w in all_words(n):
-                if w not in level:
-                    raise StructuralError(f"missing cylinder {w!r} at level {n}")
     violations = []
 
     def check(kind, word, residual):
         if residual > tolerance:
             violations.append(Violation(kind, word, float(residual)))
 
-    check("normalization", "", abs(levels[0][""] - 1))
-    for n in range(depth + 1):
-        for w, pw in levels[n].items():
-            if pw < 0:
-                check("range", w, -pw)
-            elif pw > 1:
-                check("range", w, pw - 1)
-    for n in range(depth):
+    check("normalization", "", abs(levels[0][0] - 1))
+    for n, level in enumerate(levels):
+        for i in np.flatnonzero((level < 0) | (level > 1)):
+            p = level[i]
+            check("range", _word(i, n), -p if p < 0 else p - 1)
+    for n in range(table.depth):
         level, child = levels[n], levels[n + 1]
-        for w, pw in level.items():
-            check("consistency", w, abs(child[w + "0"] + child[w + "1"] - pw))
-            check("invariance", w, abs(child["0" + w] + child["1" + w] - pw))
+        right = child[0::2] + child[1::2]    # p_{w0} + p_{w1}
+        left = child[:1 << n] + child[1 << n:]   # p_{0w} + p_{1w}
+        # Residuals only where a sum differs: exact subtraction is slow.
+        idx = np.flatnonzero((right != level) | (left != level))
+        consistency = np.abs(right[idx] - level[idx])
+        invariance = np.abs(left[idx] - level[idx])
+        for j in np.flatnonzero((consistency > tolerance) | (invariance > tolerance)):
+            word = _word(idx[j], n)
+            check("consistency", word, consistency[j])
+            check("invariance", word, invariance[j])
     return ValidationReport(ok=not violations, tolerance=float(tolerance),
                             violations=tuple(violations))
 
@@ -298,20 +336,18 @@ def markov_extend(measure, target_depth):
     base = measure.table
     if target_depth < k + 1:
         raise ValueError(f"target depth {target_depth} < order+1 = {k + 1}")
-    levels = [base._levels[n] for n in range(k + 2)]
+    levels = list(base._levels)
+    lk, lk1 = base._levels[k], base._levels[k + 1]
     zero = Fraction(0) if base.mode == EXACT else 0.0
-    for n in range(k + 2, target_depth + 1):
-        prev = levels[n - 1]
-        level = {}
-        for w, pw in prev.items():
-            suffix = w[len(w) - k:] if k else ""
-            den = base._levels[k][suffix]
-            for eps in "01":
-                if pw == 0 or den == 0:
-                    level[w + eps] = zero
-                else:
-                    level[w + eps] = pw * base._levels[k + 1][suffix + eps] / den
-        levels.append(level)
+    for _ in range(k + 2, target_depth + 1):
+        prev = levels[-1]
+        suffix = np.arange(prev.size) & ((1 << k) - 1)
+        den = lk[suffix]
+        live = np.flatnonzero((prev != 0) & (den != 0))
+        level = np.full((prev.size, 2), zero, dtype=prev.dtype)
+        for e in (0, 1):
+            level[live, e] = prev[live] * lk1[2 * suffix[live] + e] / den[live]
+        levels.append(level.ravel())
     return CylinderTable(levels, mode=base.mode)
 
 
@@ -327,22 +363,11 @@ def conditional_entropy(table, n):
     """
     if not 2 <= n <= table.depth:
         raise ValueError(f"n={n} out of range 2..{table.depth}")
-    parents = table._levels[n - 1]
-    children = table._levels[n]
-    total = 0.0
-    for w, pw in parents.items():
-        pwf = float(pw)
-        if pwf <= 0.0:
-            continue
-        log_pw = math.log(pwf)
-        for eps in "01":
-            try:
-                pc = float(children[w + eps])
-            except KeyError:
-                raise StructuralError(f"missing cylinder {w + eps!r}") from None
-            if pc > 0.0:
-                total += pc * (log_pw - math.log(pc))
-    return total
+    parents = np.repeat(table._levels[n - 1].astype(float), 2)
+    children = table._levels[n].astype(float)
+    live = (parents > 0.0) & (children > 0.0)
+    pw, pc = parents[live], children[live]
+    return float(np.sum(pc * (np.log(pw) - np.log(pc))))
 
 
 def entropy_ladder(table):
@@ -384,44 +409,44 @@ class OrbitSample:
         return cls(bits=bits, seed=0, source=source)
 
 
-def _steady_conditionals(table):
-    """P(next symbol = 1 | last depth-1 symbols), indexed by the state int."""
-    k = table.depth - 1
-    lv_k, lv_k1 = table._levels[k], table._levels[k + 1]
-    cond = np.zeros(1 << k)
-    for word in all_words(k):
-        ps = float(lv_k[word])
-        if ps > 0.0:
-            cond[int(word, 2)] = min(1.0, max(0.0, float(lv_k1[word + "1"]) / ps))
-    return cond
+def _conditionals(table):
+    """P(next symbol = 1 | the j symbols before it) for j < depth.
+
+    Entry j is a list indexed by those j symbols read in binary; the
+    last entry also serves every later step, applied to the last
+    depth-1 symbols (the Markov extension).
+    """
+    conds = []
+    for j in range(table.depth):
+        parent = table._levels[j].astype(float)
+        ones = table._levels[j + 1][1::2].astype(float)
+        cond = np.zeros(parent.size)
+        live = parent > 0.0
+        cond[live] = np.clip(ones[live] / parent[live], 0.0, 1.0)
+        conds.append(cond.tolist())
+    return conds
 
 
-def _draw_bits(table, length, seed, steady=None):
-    levels = table._levels
-    k = table.depth - 1
+def _draw_bits(conds, length, seed):
+    k = len(conds) - 1
     rng = np.random.default_rng(seed)
     u = rng.random(length)
     bits = np.empty(length, dtype=np.uint8)
-    word = ""
     state = 0
     for j in range(min(length, k)):
-        pw = float(levels[j][word])
-        q = float(levels[j + 1][word + "1"]) / pw if pw > 0.0 else 0.0
-        b = 1 if u[j] < min(1.0, max(0.0, q)) else 0
+        b = 1 if u[j] < conds[j][state] else 0
         bits[j] = b
-        word += "01"[b]
         state = (state << 1) | b
     if length <= k:
         return bits
     if k == 0:
-        bits[:] = u < min(1.0, max(0.0, float(levels[1]["1"])))
+        bits[:] = u < conds[0][0]
         return bits
-    cond = (_steady_conditionals(table) if steady is None else steady).tolist()
+    cond = conds[k]
     mask = (1 << k) - 1
-    out = bits
     for j, uj in enumerate(u[k:].tolist(), start=k):
         b = 1 if uj < cond[state] else 0
-        out[j] = b
+        bits[j] = b
         state = ((state << 1) | b) & mask
     return bits
 
@@ -442,7 +467,7 @@ def sample_orbit(table, length, seed):
     if length < 1:
         raise ValueError("length must be >= 1")
     _require_valid(table)
-    bits = _draw_bits(table, length, seed)
+    bits = _draw_bits(_conditionals(table), length, seed)
     source = f"table(depth={table.depth}, mode={table.mode})"
     return OrbitSample(bits=bits, seed=int(seed), source=source)
 
@@ -458,12 +483,12 @@ def sample_orbits(table, length, count, seed):
     if count < 1:
         raise ValueError("count must be >= 1")
     _require_valid(table)
-    steady = _steady_conditionals(table) if table.depth > 1 else None
+    conds = _conditionals(table)
     source = f"table(depth={table.depth}, mode={table.mode})"
     out = []
     for i in range(count):
         s = int(seed) ^ i
-        out.append(OrbitSample(bits=_draw_bits(table, length, s, steady=steady),
+        out.append(OrbitSample(bits=_draw_bits(conds, length, s),
                                seed=s, source=source))
     return out
 
@@ -474,17 +499,9 @@ def sample_orbits(table, length, count, seed):
 
 def table_to_json(table):
     """JSON object for a table; exact masses become "num/den" strings."""
-    levels = []
-    for n in range(table.depth + 1):
-        level = table._levels[n]
-        probs = []
-        for w in all_words(n):
-            try:
-                p = level[w]
-            except KeyError:
-                raise StructuralError(f"missing cylinder {w!r} at level {n}") from None
-            probs.append(str(p) if table.mode == EXACT else float(p))
-        levels.append({"n": n, "probs": probs})
+    exact = table.mode == EXACT
+    levels = [{"n": n, "probs": [str(p) for p in level] if exact else level.tolist()}
+              for n, level in enumerate(table._levels)]
     return {"depth": table.depth, "mode": table.mode, "levels": levels}
 
 
@@ -494,24 +511,20 @@ def table_from_json(obj):
         depth = int(obj["depth"])
         mode = obj["mode"]
         raw_levels = obj["levels"]
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown arithmetic mode {mode!r}")
+        if len(raw_levels) != depth + 1:
+            raise ValueError(f"expected {depth + 1} levels, got {len(raw_levels)}")
+        levels = []
+        for n, entry in enumerate(raw_levels):
+            if int(entry["n"]) != n:
+                raise ValueError(f"levels out of order at index {n}")
+            if mode == EXACT:
+                levels.append([Fraction(str(p)) for p in entry["probs"]])
+            else:
+                levels.append([float(p) for p in entry["probs"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"unknown arithmetic mode {mode!r}")
-    if len(raw_levels) != depth + 1:
-        raise ValueError(f"expected {depth + 1} levels, got {len(raw_levels)}")
-    levels = []
-    for n, entry in enumerate(raw_levels):
-        if int(entry["n"]) != n:
-            raise ValueError(f"levels out of order at index {n}")
-        probs = entry["probs"]
-        if len(probs) != 1 << n:
-            raise ValueError(f"level {n} needs {1 << n} probabilities")
-        if mode == EXACT:
-            level = {w: Fraction(str(p)) for w, p in zip(all_words(n), probs)}
-        else:
-            level = {w: float(p) for w, p in zip(all_words(n), probs)}
-        levels.append(level)
     return CylinderTable(levels, mode=mode)
 
 

@@ -257,7 +257,6 @@ def _phase1(sys_):
 
 def _interior_point(sys_, free):
     """LP max of t subject to x[free] >= t inside the polytope."""
-    nf = int(free.sum())
     nv = sys_.nv
     rows, rhs = [], []
     for i in np.flatnonzero(free):
@@ -306,19 +305,6 @@ def _forced_zero_mask(sys_):
         if res.status == 0 and -res.fun <= _ZERO_TOL:
             mask[i] = True
     return mask
-
-
-def _independent_rows(A, b):
-    """Row subset of full rank (QR with pivoting); keeps b aligned."""
-    if A.shape[0] == 0:
-        return A, b
-    from scipy.linalg import qr
-    _, r, piv = qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(A.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int((diag > tol).sum())
-    keep = np.sort(piv[:rank])
-    return A[keep], b[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +632,7 @@ def solve(depth, constraints=None, *, kkt_tol=1e-9, max_iterations=100_000,
                        float(max(-x_full.min(initial=0.0), 0.0)))
 
     x_full[free_idx] = np.where(xf <= 2 * floor, 0.0, xf)
-    top = {w: float(x_full[i]) for i, w in enumerate(all_words(depth))}
-    table = table_from_top_level(top, mode=FLOAT)
+    table = table_from_top_level(x_full, mode=FLOAT)
     objective = conditional_entropy(table, depth)
     status = STATUS_OPTIMAL if kkt_residual <= kkt_tol else STATUS_MAX_ITER
     return OptimizationResult(status, table, objective,

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InfeasibleSpecError
 from .measures import EXACT, FLOAT, CylinderTable
-from .words import all_words
 
 TAIL_CONSTANT = "constant"
 TAIL_AFFINE = "affine"
@@ -217,24 +218,18 @@ def build_max_entropy_table(spec, depth):
     a = extend_spec(spec, max(len(spec.prefix), depth))
     _require_feasible(a, depth)
     one = Fraction(1) if spec.exact else 1.0
-    zero = one - one
-    levels = [{"": one}, {"0": a[1], "1": one - a[1]}]
+    dtype = object if spec.exact else float
+    levels = [np.array([one], dtype=dtype), np.array([a[1], one - a[1]], dtype=dtype)]
     for m in range(2, depth + 1):
-        prev = levels[m - 1]
-        grand = levels[m - 2]
-        level = {}
-        for u in all_words(m):
-            w = u[1:-1]
-            if "1" not in w:
-                n = m - 2  # w = 0^n
-                if u[0] == "0":
-                    level[u] = a[n + 2] if u[-1] == "0" else a[n + 1] - a[n + 2]
-                else:
-                    level[u] = (a[n + 1] - a[n + 2] if u[-1] == "0"
-                                else a[n] - 2 * a[n + 1] + a[n + 2])
-            else:
-                pw = grand[w]
-                level[u] = prev[u[:-1]] * prev[u[1:]] / pw if pw != 0 else zero
+        prev, grand = levels[m - 1], levels[m - 2]
+        u = np.arange(1 << m)
+        ew, we = u >> 1, u & ((1 << (m - 1)) - 1)   # words u[:-1] and u[1:]
+        den = grand[ew & ((1 << (m - 2)) - 1)]       # the middle word u[1:-1]
+        live = np.flatnonzero(den != 0)
+        level = np.full(1 << m, one - one, dtype=dtype)
+        level[live] = prev[ew[live]] * prev[we[live]] / den[live]
+        half = 1 << (m - 1)   # stem cells 00^n0, 00^n1, 10^n0, 10^n1
+        level[[0, 1, half, half + 1]] = boundary_values(a, m - 2)
         levels.append(level)
     return CylinderTable(levels, mode=EXACT if spec.exact else FLOAT)
 

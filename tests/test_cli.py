@@ -1,8 +1,14 @@
 import json
 import math
+from pathlib import Path
 
-from shiftmaxent import bernoulli_table, load_table, table_from_json
+import pytest
+
+from shiftmaxent import (bernoulli_table, load_table, table_from_json,
+                         table_to_json)
 from shiftmaxent.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_check_feasible(capsys):
@@ -70,6 +76,58 @@ def test_build_stdout_deterministic(capsys):
     assert first == second
     table = table_from_json(json.loads(first))
     assert table == bernoulli_table("1/2", 3)
+
+
+@pytest.mark.parametrize("spec, golden", [
+    (["--a", "1/2,1/5,1/10"], "build_exact_d3.json"),
+    ({"a": [0.5, 0.3, 0.15, 0.05], "tail": "affine"}, "build_float_d3.json"),
+])
+def test_build_output_is_pinned(tmp_path, capsys, spec, golden):
+    if isinstance(spec, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spec = ["--spec", str(path)]
+    assert run(["build", *spec, "--depth", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def _sample_table_file(tmp_path, obj):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    return run(["sample", "--table", str(path), "--length", "10"])
+
+
+def test_sample_nan_table_exits_one(tmp_path, capsys):
+    obj = table_to_json(bernoulli_table(0.5, 2))
+    for level in obj["levels"]:
+        level["probs"] = [math.nan] * len(level["probs"])
+    assert _sample_table_file(tmp_path, obj) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _null_mass(obj):
+    obj["levels"][1]["probs"][0] = None
+
+
+def _level_without_n(obj):
+    del obj["levels"][1]["n"]
+
+
+def _level_as_list(obj):
+    obj["levels"][1] = obj["levels"][1]["probs"]
+
+
+def _levels_not_a_list(obj):
+    obj["levels"] = 5
+
+
+@pytest.mark.parametrize("mangle", [_null_mass, _level_without_n,
+                                    _level_as_list, _levels_not_a_list])
+def test_sample_malformed_table_exits_one(tmp_path, capsys, mangle):
+    obj = table_to_json(bernoulli_table(0.5, 2))
+    mangle(obj)
+    assert _sample_table_file(tmp_path, obj) == 1
+    assert "malformed table JSON" in capsys.readouterr().err
 
 
 def test_optimize_summary_line(tmp_path, capsys):

@@ -58,6 +58,33 @@ def test_validate_range_violation():
     assert "range" in kinds
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mass_rejected(bad):
+    levels = [bernoulli_table(0.5, 2).level(n) for n in range(3)]
+    levels[2]["01"] = bad
+    for mode in ("float", "exact"):
+        with pytest.raises(StructuralError):
+            CylinderTable(levels, mode=mode)
+    obj = table_to_json(bernoulli_table(0.5, 2))
+    obj["levels"][2]["probs"][1] = bad
+    with pytest.raises(StructuralError):
+        table_from_json(obj)
+
+
+def test_table_is_read_only_and_yields_python_scalars():
+    table = bernoulli_table(0.3, 3)
+    assert type(table.prob("01")) is float
+    assert type(bernoulli_table(F(1, 3), 2).prob("1")) is F
+    assert type(conditional_entropy(table, 3)) is float
+    assert all(type(h) is float for _, h in entropy_ladder(table))
+    assert table.level(0) == {"": 1.0}
+    copy = table.level(1)
+    copy["0"] = 0.0
+    assert table.prob("0") == 0.3
+    with pytest.raises(ValueError):
+        table._levels[1][0] = 0.0
+
+
 def test_exact_mode_uses_zero_tolerance():
     levels = [{"": F(1)}, {"0": F(1, 3), "1": F(2, 3)},
               {"00": F(1, 9), "01": F(2, 9), "10": F(2, 9), "11": F(4, 9)}]
@@ -278,6 +305,7 @@ def test_table_from_top_level_marginalizes():
     top = {w: product_mass(F(1, 4), w) for w in all_words(3)}
     table = table_from_top_level(top)
     assert table == bernoulli_table(F(1, 4), 3)
+    assert table_from_top_level(list(top.values())) == table
 
 
 def test_json_round_trip_exact():
