@@ -98,19 +98,19 @@ def cmd_entropy(args):
     spec = _spec_from_args(args)
     units = "bits" if args.bits else "nats"
     closed = entropy_closed_form(spec, truncation=args.truncation, units=units)
-    tag = "exact" if closed.exact else "truncated"
-    print(f"entropy={closed.value:.6f} {units} ({tag}, J={closed.truncation})")
-    print(f"value={closed.value!r}")
     scale = math.log(2) if args.bits else 1.0
     table = build_max_entropy_table(spec, args.depth)
     ladder = entropy_ladder(table)
-    for n, h in ladder:
-        print(f"h({n})={h / scale!r}")
     phis = telescoping_increments(spec, args.depth - 2) if args.depth >= 3 else []
     worst = 0.0
     for i in range(1, len(ladder)):
         worst = max(worst, abs(phis[i - 1] / scale
                                - (ladder[i][1] - ladder[i - 1][1]) / scale))
+    tag = "exact" if closed.exact else "truncated"
+    print(f"entropy={closed.value:.6f} {units} ({tag}, J={closed.truncation})")
+    print(f"value={closed.value!r}")
+    for n, h in ladder:
+        print(f"h({n})={h / scale!r}")
     print(f"telescoping_check={worst!r}")
     print(f"ladder_gap={(ladder[-1][1] / scale - closed.value)!r}")
     return 0
@@ -157,6 +157,8 @@ def cmd_freq(args):
         raise ValueError(f"sample file has only {len(samples)} line(s)")
     x = samples[args.line]
     words = [w.strip() for w in args.words.split(",") if w.strip()]
+    if not words:
+        raise ValueError("--words names no word")
     horizon = args.horizon if args.horizon is not None else len(x)
     targets = None
     if args.targets is not None:
@@ -176,10 +178,12 @@ def cmd_generic(args):
 def cmd_estimate(args):
     samples = _load_samples(args.samples)
     total = sum(len(s) for s in samples)
-    print(f"samples={len(samples)} total_bits={total} n={args.n} delta={args.delta}")
     scale = math.log(2) if args.bits else 1.0
-    print(f"word_count_entropy={word_count_entropy(samples, args.n) / scale!r}")
-    print(f"katok_entropy={katok_entropy(samples, args.n, args.delta) / scale!r}")
+    word_count = word_count_entropy(samples, args.n) / scale
+    katok = katok_entropy(samples, args.n, args.delta) / scale
+    print(f"samples={len(samples)} total_bits={total} n={args.n} delta={args.delta}")
+    print(f"word_count_entropy={word_count!r}")
+    print(f"katok_entropy={katok!r}")
     return 0
 
 

@@ -505,10 +505,19 @@ def table_to_json(table):
     return {"depth": table.depth, "mode": table.mode, "levels": levels}
 
 
+def _json_int(value, what):
+    """An integral JSON number as int; 2.9 is malformed, not 2."""
+    n = int(value)
+    if n != value:
+        raise ValueError(
+            f"malformed table JSON: {what} must be an integer, got {value!r}")
+    return n
+
+
 def table_from_json(obj):
     """Inverse of :func:`table_to_json` (probs in lexicographic order)."""
     try:
-        depth = int(obj["depth"])
+        depth = _json_int(obj["depth"], "depth")
         mode = obj["mode"]
         raw_levels = obj["levels"]
         if mode not in (EXACT, FLOAT):
@@ -517,13 +526,13 @@ def table_from_json(obj):
             raise ValueError(f"expected {depth + 1} levels, got {len(raw_levels)}")
         levels = []
         for n, entry in enumerate(raw_levels):
-            if int(entry["n"]) != n:
+            if _json_int(entry["n"], "n") != n:
                 raise ValueError(f"levels out of order at index {n}")
             if mode == EXACT:
                 levels.append([Fraction(str(p)) for p in entry["probs"]])
             else:
                 levels.append([float(p) for p in entry["probs"]])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
     return CylinderTable(levels, mode=mode)
 

@@ -9,17 +9,25 @@ set of linear equalities on the top level.
 The objective splits over sibling pairs,
     h^(n)(x) = sum over |v| = n-1 of f(x_{v0}, x_{v1}),
     f(s, t) = -s log s - t log t + (s + t) log(s + t),
-each f being a perspective of the binary entropy and hence concave. The
-solver runs in three phases:
+each f being a perspective of the binary entropy and hence concave.
+Each interval lo <= m.x <= hi gets two slacks, m.x - s_lo = lo and
+m.x + s_hi = hi, so the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}.
+The solver runs one path:
 
-1. phase-1 LPs (HiGHS): feasibility of the constraint polytope, with an
-   elastic re-solve producing a separating certificate when empty;
-2. structural-zero elimination: variables whose maximum over the
-   polytope is 0 are fixed to exact zeros (the entropy gradient is
-   singular there, and the eliminated coordinates are forced anyway);
-3. an equality-constrained damped Newton method on the remaining
-   coordinates, wrapped in an active-set loop for interval constraints,
-   iterated until the KKT residual is small.
+1. phase-1 LP (HiGHS): feasibility of the polytope, with an elastic
+   re-solve producing a separating certificate when it is empty;
+2. max-support LP: over the homogenized cone {(z, tau) >= 0 :
+   G z = g tau}, maximize sum_i min(z_i, 1). The coordinates where the
+   minimum is 1 are the support of the feasible face; all others are 0
+   on the whole polytope and are dropped (an interval side whose slack
+   is never open becomes an equality), and z / tau is a strictly
+   feasible start;
+3. barrier Newton: an equality-constrained Newton method on the support
+   maximizes h^(n) + mu sum_i log z_i for mu = 1e-2, 1e-3, ..., 1e-13;
+4. residual: the bound multipliers are zeta = -(grad h + G^T y), with y
+   from the last Newton solve, and the reported KKT residual is the
+   largest of the dual infeasibility max(-zeta), the complementarity
+   max |z_i zeta_i|, the primal residual |G z - g| and mu.
 
 Any convergent concave maximizer would do; the contract is the reported
 KKT residual and constraint satisfaction.
@@ -33,21 +41,21 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .errors import ConstraintError
 from .measures import (FLOAT, CylinderTable, conditional_entropy,
                        max_abs_deviation, table_from_top_level)
-from .words import all_words, check_word
+from .words import check_word
 from .zeroblock import build_max_entropy_table, extend_spec
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITER = "max_iter"
 
-_FLOOR = 1e-15          # variable floor during iterations
-_ZERO_TOL = 1e-11       # LP threshold for structurally-zero variables
-_NEWTON_TOL = 1e-13     # target residual of the inner Newton solve
+_MU_STAGES = 10.0 ** -np.arange(2, 14)   # barrier weights 1e-2 ... 1e-13
 
 
 def _as_bound(value):
@@ -170,18 +178,18 @@ def _marginal_row(word, depth, nv):
 class _System:
     def __init__(self, depth, cset):
         nv = 1 << depth
+        half = nv >> 1
         self.depth = depth
         self.nv = nv
-        eq_rows, eq_b, eq_names = [np.ones(nv)], [1.0], ["normalization"]
-        for v in all_words(depth - 1):
-            row = np.zeros(nv)
-            for eps in "01":
-                row[int(eps + v, 2)] += 1.0
-                row[int(v + eps, 2)] -= 1.0
-            if np.any(row):
-                eq_rows.append(row)
-                eq_b.append(0.0)
-                eq_names.append(f"invariance[{v}]")
+        # invariance of the (n-1)-word v: x_{0v} + x_{1v} = x_{v0} + x_{v1}
+        v = np.arange(half)
+        invariance = np.zeros((half, nv))
+        for cols, sign in ((v, 1.0), (v + half, 1.0), (2 * v, -1.0),
+                           (2 * v + 1, -1.0)):
+            invariance[v, cols] += sign
+        eq_rows, eq_b = [np.ones(nv), *invariance], [1.0] + [0.0] * half
+        eq_names = ["normalization"] + [
+            f"invariance[{u:0{depth - 1}b}]" for u in range(half)]
         iv_rows, iv_lo, iv_hi, iv_names = [], [], [], []
         for e in cset:
             if len(e.word) > depth:
@@ -211,6 +219,15 @@ class _System:
             return None, None
         return (np.vstack([self.M_iv, -self.M_iv]),
                 np.concatenate([self.hi, -self.lo]))
+
+    def slack_form(self):
+        """(G, g): the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}."""
+        ne, ni = self.A_eq.shape[0], self.M_iv.shape[0]
+        eye, zero = np.eye(ni), np.zeros((ni, ni))
+        G = np.block([[self.A_eq, np.zeros((ne, 2 * ni))],
+                      [self.M_iv, -eye, zero],
+                      [self.M_iv, zero, eye]])
+        return G, np.concatenate([self.b_eq, self.lo, self.hi])
 
 
 def _phase1(sys_):
@@ -255,176 +272,96 @@ def _phase1(sys_):
     return False, certificate
 
 
-def _interior_point(sys_, free):
-    """LP max of t subject to x[free] >= t inside the polytope."""
-    nv = sys_.nv
-    rows, rhs = [], []
-    for i in np.flatnonzero(free):
-        row = np.zeros(nv + 1)
-        row[i] = -1.0
-        row[nv] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    A_ub, b_ub = sys_.ub_matrices()
-    if A_ub is not None:
-        rows.extend(np.concatenate([r, [0.0]]) for r in A_ub)
-        rhs.extend(b_ub)
-    A_eq = np.hstack([sys_.A_eq, np.zeros((sys_.A_eq.shape[0], 1))])
-    fixed = np.flatnonzero(~free)
-    if fixed.size:
-        pin = np.zeros((fixed.size, nv + 1))
-        pin[np.arange(fixed.size), fixed] = 1.0
-        A_eq = np.vstack([A_eq, pin])
-        b_eq = np.concatenate([sys_.b_eq, np.zeros(fixed.size)])
-    else:
-        b_eq = sys_.b_eq
-    cost = np.zeros(nv + 1)
-    cost[nv] = -1.0
-    bounds = [(0.0, 1.0)] * nv + [(0.0, 1.0)]
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        return None, 0.0
-    return res.x[:nv], float(res.x[nv])
-
-
-def _forced_zero_mask(sys_):
-    """Variables whose maximum over the polytope is (numerically) zero."""
-    nv = sys_.nv
-    free_all = np.ones(nv, dtype=bool)
-    _, t_star = _interior_point(sys_, free_all)
-    mask = np.zeros(nv, dtype=bool)
-    if t_star > 10 * _ZERO_TOL:
-        return mask
-    A_ub, b_ub = sys_.ub_matrices()
-    for i in range(nv):
-        cost = np.zeros(nv)
-        cost[i] = -1.0
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=sys_.A_eq,
-                      b_eq=sys_.b_eq, bounds=(0, 1), method="highs")
-        if res.status == 0 and -res.fun <= _ZERO_TOL:
-            mask[i] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
-# Entropy objective on the top level
+# Facial reduction and barrier Newton
 # ---------------------------------------------------------------------------
 
-def _objective_parts(x_full):
-    """(gradient, sibling sums); gradient entries are log(s_v / x_i)."""
-    pairs = x_full.reshape(-1, 2)
-    s = pairs.sum(axis=1)
-    s_rep = np.repeat(s, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = np.where(x_full > 0.0,
-                        np.log(np.where(s_rep > 0.0, s_rep, 1.0))
-                        - np.log(np.where(x_full > 0.0, x_full, 1.0)),
-                        0.0)
-    return grad, s_rep
+def _max_support(G, g):
+    """Support of the feasible face of {z >= 0 : G z = g} and a point on it.
 
-
-def _hessian(x_full, free_idx):
-    """Dense Hessian of h^(n) restricted to the free coordinates."""
-    nf = free_idx.size
-    H = np.zeros((nf, nf))
-    pos = -np.ones(x_full.size, dtype=int)
-    pos[free_idx] = np.arange(nf)
-    pairs = x_full.reshape(-1, 2)
-    s = pairs.sum(axis=1)
-    for v in range(pairs.shape[0]):
-        if s[v] <= 0.0:
-            continue
-        inv_s = 1.0 / s[v]
-        i0, i1 = 2 * v, 2 * v + 1
-        p0, p1 = pos[i0], pos[i1]
-        if p0 >= 0:
-            H[p0, p0] = inv_s - 1.0 / x_full[i0]
-        if p1 >= 0:
-            H[p1, p1] = inv_s - 1.0 / x_full[i1]
-        if p0 >= 0 and p1 >= 0:
-            H[p0, p1] = inv_s
-            H[p1, p0] = inv_s
-    return H
-
-
-def _newton_equalities(A, b, x0, x_full, free_idx, max_steps, floor):
-    """Damped Newton for: maximize h^(n) s.t. A x_free = b, x_free > 0.
-
-    Multipliers are re-estimated at every point by least squares (they
-    minimize the stationarity residual), so the merit is a function of
-    x alone. Returns (x_free, multipliers, residual, steps).
+    One LP over the homogenized cone {(z, tau) >= 0 : G z = g tau}
+    maximizes sum_i u_i with u_i <= min(z_i, 1). The cone is closed
+    under addition, so the optimum sets u_i = 1 exactly on the largest
+    support, where z_i >= 1; every other z_i is 0 on the whole polytope.
+    Returns (support mask, z / tau on the support).
     """
-    nf = free_idx.size
-    ne = A.shape[0]
-    At = A.T
+    m, nz = G.shape
+    eye = sparse.identity(nz, format="csr")
+    A_eq = sparse.hstack([G, -g[:, None], sparse.csr_matrix((m, nz))])
+    A_ub = sparse.hstack([-eye, sparse.csr_matrix((nz, 1)), eye])
+    cost = np.concatenate([np.zeros(nz + 1), -np.ones(nz)])
+    bounds = [(0.0, None)] * (nz + 1) + [(0.0, 1.0)] * nz
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(nz), A_eq=A_eq,
+                  b_eq=np.zeros(m), bounds=bounds, method="highs")
+    support = res.x[nz + 1:] > 0.5
+    return support, res.x[:nz][support] / res.x[nz]
 
-    def evaluate(xf):
-        x_full[free_idx] = xf
-        grad, _ = _objective_parts(x_full)
-        g = grad[free_idx]
-        if ne:
-            y = np.linalg.lstsq(At, g, rcond=None)[0]
-            r1 = g - At @ y
-            r2 = A @ xf - b
-        else:
-            y = np.zeros(0)
-            r1 = g
-            r2 = np.zeros(0)
-        merit = math.hypot(np.linalg.norm(r1), np.linalg.norm(r2))
-        return y, r1, r2, merit
 
-    x = np.maximum(x0, floor)
-    y, r1, r2, merit = evaluate(x)
+def _entropy(x, xs):
+    """(h^(n), its gradient on xs, sibling-pair sums on xs) at the top
+    level x, whose support is the index array xs."""
+    s = x[xs] + x[xs ^ 1]
+    grad = np.log(s / x[xs])
+    return x[xs] @ grad, grad, s
+
+
+def _barrier_newton(G, g, z, xs, nv):
+    """Maximize h^(n)(x) + mu sum log z subject to G z = g, for each mu
+    in _MU_STAGES.
+
+    z > 0 is the start; its first xs.size entries are the top-level
+    masses at indices xs, the rest are interval slacks. Each stage runs
+    Newton steps on the dense KKT system until the decrement falls to
+    1e-6 mu: an absolute stop would skip the last stages, and 1e-6 mu^2
+    sits below the rounding floor (~1e-30 at depth 8) for mu <= 1e-12.
+    At most 50 steps per stage keep the time bounded. Returns (z, y,
+    steps) with y the equality multipliers of the last solve.
+    """
+    n, m, k = z.size, G.shape[0], xs.size
+    pos = np.full(nv, -1)
+    pos[xs] = np.arange(k)
+    sib = pos[xs ^ 1]
+    paired = np.flatnonzero(sib >= 0)
+    diag = np.arange(n)
+    K = np.zeros((n + m, n + m))
+    K[:n, n:] = G.T
+    K[n:, :n] = G
+    H = K[:n, :n]
+    x = np.zeros(nv)
+
+    def merit(z, mu):
+        x[xs] = z[:k]
+        return -_entropy(x, xs)[0] - mu * np.log(z).sum()
+
     steps = 0
-    reg = 0.0
-    stalled = 0
-    for _ in range(max_steps):
-        res_inf = max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))
-        if res_inf <= _NEWTON_TOL:
-            break
-        if stalled >= 8 and (x <= 1e-10).any():
-            break  # plateau with coordinates crawling to the floor
-        x_full[free_idx] = x
-        H = _hessian(x_full, free_idx)
-        if reg:
-            H = H - reg * np.eye(nf)
-        kkt = np.zeros((nf + ne, nf + ne))
-        kkt[:nf, :nf] = H
-        if ne:
-            kkt[:nf, nf:] = At
-            kkt[nf:, :nf] = A
-        rhs = np.concatenate([-r1, -r2])
-        try:
-            delta = np.linalg.solve(kkt, rhs)
-            if not np.all(np.isfinite(delta)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        dx = delta[:nf]
-        alpha = 1.0
-        negative = dx < 0.0
-        if negative.any():
-            alpha = min(1.0, 0.995 * np.min(-x[negative] / dx[negative]))
-        accepted = False
-        while alpha > 1e-14:
-            x_t = np.maximum(x + alpha * dx, floor)
-            y_t, r1_t, r2_t, merit_t = evaluate(x_t)
-            if merit_t <= (1.0 - 1e-4 * alpha) * merit or merit_t < _NEWTON_TOL:
-                stalled = stalled + 1 if merit_t > 0.99 * merit else 0
-                x, y, r1, r2, merit = x_t, y_t, r1_t, r2_t, merit_t
-                accepted = True
+    y = np.zeros(m)
+    for mu in _MU_STAGES:
+        for _ in range(50):
+            x[xs] = z[:k]
+            h, grad, s = _entropy(x, xs)
+            gphi = -mu / z
+            gphi[:k] -= grad
+            H[diag, diag] = mu / z ** 2
+            H[diag[:k], diag[:k]] += 1.0 / z[:k] - 1.0 / s
+            H[paired, sib[paired]] = -1.0 / s[paired]
+            sol = np.linalg.solve(K, np.concatenate([-gphi, g - G @ z]))
+            dz, y = sol[:n], -sol[n:]
+            decrement = dz @ H @ dz
+            steps += 1
+            shrink = dz < 0.0
+            alpha = min(1.0, 0.99 * np.min(-z[shrink] / dz[shrink],
+                                           initial=np.inf))
+            phi = -h - mu * np.log(z).sum()
+            # Armijo with an allowance for rounding in phi, which the
+            # last stages' decrease falls below
+            allowance = 1e-13 * (1.0 + abs(phi))
+            while merit(z + alpha * dz, mu) > \
+                    phi + 0.25 * alpha * (gphi @ dz) + allowance:
+                alpha *= 0.5
+            z = z + alpha * dz
+            if decrement <= 1e-6 * mu:
                 break
-            alpha *= 0.5
-        steps += 1
-        if accepted:
-            reg = 0.0
-        else:
-            reg = 1e-8 if reg == 0.0 else reg * 100.0
-            if reg > 1e2:
-                break
-    res_inf = max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))
-    return x, y, res_inf, steps
+    return z, y, steps
 
 
 # ---------------------------------------------------------------------------
@@ -441,65 +378,14 @@ def _normalize_constraints(constraints):
     return ConstraintSet(tuple(constraints))
 
 
-def _reduce(sys_, fixed):
-    """Drop fixed (zero) columns and keep an independent equality row set.
-
-    Returns (free_idx, A_eq reduced, b_eq, kept row indices into
-    sys_.A_eq). Rows touching only fixed variables are vacuous because
-    phase 1 proved the full system consistent.
-    """
-    free_idx = np.flatnonzero(~fixed)
-    cols = sys_.A_eq[:, free_idx]
-    keep = np.flatnonzero((np.abs(cols).sum(axis=1) > 1e-14)
-                          | (np.abs(sys_.b_eq) > 1e-9))
-    A = cols[keep]
-    b = sys_.b_eq[keep]
-    if A.shape[0]:
-        from scipy.linalg import qr
-        _, r, piv = qr(A.T, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        tol = max(A.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-        rank = int((diag > tol).sum())
-        sel = np.sort(piv[:rank])
-        A, b, keep = A[sel], b[sel], keep[sel]
-    return free_idx, A, b, keep
-
-
-def _dead_pair_rates(sys_, fixed, structural, eq_rows, act_rows, mults):
-    """First-order gain of re-injecting mass into fixed coordinates.
-
-    With the free coordinates stationary, constraint prices are
-    q_i = (A^T mults)_i. Re-opening the sibling pair of a parent v at
-    split c gains H2(c) - c q_{v0} - (1-c) q_{v1}, maximized at
-    log(exp(-q0) + exp(-q1)); a single coordinate (its sibling staying
-    structurally closed) gains -q_i. Returns {parent index: rate} for
-    pairs containing a non-structural fixed coordinate.
-    """
-    rows = [sys_.A_eq[eq_rows]]
-    if act_rows:
-        rows.append(sys_.M_iv[act_rows])
-    A_full = np.vstack(rows)
-    prices = np.clip(A_full.T @ mults, -700.0, 700.0)
-    rates = {}
-    for i in np.flatnonzero(fixed & ~structural):
-        v, sib = i >> 1, i ^ 1
-        if not fixed[sib]:
-            rates[v] = math.inf  # open sibling: infinite marginal gain
-        elif structural[sib]:
-            rates[v] = max(rates.get(v, -math.inf), -prices[i])
-        else:
-            rates[v] = math.log(math.exp(-prices[i]) + math.exp(-prices[sib]))
-    return rates
-
-
-def solve(depth, constraints=None, *, kkt_tol=1e-9, max_iterations=100_000,
-          floor=_FLOOR):
+def solve(depth, constraints=None):
     """Maximize h^(depth) over invariant tables meeting the constraints.
 
     Returns an :class:`OptimizationResult`; on feasible instances the
     table is float-mode, passes validation, and the KKT residual of the
-    reported point is included. Infeasible polytopes are detected by a
-    phase-1 LP and reported with a separating certificate.
+    reported point is included; `iterations` counts Newton steps.
+    Infeasible polytopes are detected by a phase-1 LP and reported with
+    a separating certificate.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -512,132 +398,34 @@ def solve(depth, constraints=None, *, kkt_tol=1e-9, max_iterations=100_000,
                                   kkt_residual=math.inf, iterations=0,
                                   certificate=certificate)
 
-    structural = _forced_zero_mask(sys_)
-    fixed = structural.copy()
-    x_start, _ = _interior_point(sys_, ~fixed)
-    if x_start is None:
-        x_start = np.full(sys_.nv, 1.0 / sys_.nv)
-    x_full = np.where(fixed, 0.0, np.maximum(x_start, floor))
+    G_all, g_all = sys_.slack_form()
+    support, z = _max_support(G_all, g_all)
+    # an independent row set of the equalities restricted to the face
+    G = G_all[:, support]
+    _, r, piv = qr(G.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > max(G.shape) * np.finfo(float).eps * diag[0]).sum())
+    rows = np.sort(piv[:rank])
+    G, g = G[rows], g_all[rows]
 
-    active = {}          # interval row index -> "lo" | "hi"
-    never_refix = np.zeros(sys_.nv, dtype=bool)
-    total_steps = 0
-    res_inf = math.inf
-    free_idx = np.flatnonzero(~fixed)
-    A_eq = b_eq = eq_rows = None
-    mults = np.zeros(0)
-    have_iv = sys_.M_iv.shape[0] > 0
-    for _ in range(120):
-        free_idx, A_eq, b_eq, eq_rows = _reduce(sys_, fixed)
-        M_iv = sys_.M_iv[:, free_idx] if have_iv else np.zeros((0, free_idx.size))
-        act_sorted = sorted(active)
-        act_rows = [M_iv[j] for j in act_sorted]
-        act_b = [sys_.lo[j] if active[j] == "lo" else sys_.hi[j]
-                 for j in act_sorted]
-        A_act = np.vstack([A_eq] + [r[None, :] for r in act_rows]) \
-            if act_rows else A_eq
-        b_act = np.concatenate([b_eq, np.array(act_b)]) if act_rows else b_eq
-        budget = min(200, max(1, max_iterations - total_steps))
-        x = np.maximum(x_full[free_idx], floor)
-        x, y, res_inf, steps = _newton_equalities(
-            A_act, b_act, x, x_full, free_idx, budget, floor)
-        total_steps += steps
-        x_full[:] = 0.0
-        x_full[free_idx] = x
-        if total_steps >= max_iterations:
-            break
-        # 1) most violated inactive interval joins the active set
-        if have_iv:
-            vals = M_iv @ x
-            worst_j, worst_v, worst_side = -1, 1e-10, ""
-            for j in range(M_iv.shape[0]):
-                if j in active:
-                    continue
-                if sys_.lo[j] - vals[j] > worst_v:
-                    worst_j, worst_v, worst_side = j, sys_.lo[j] - vals[j], "lo"
-                if vals[j] - sys_.hi[j] > worst_v:
-                    worst_j, worst_v, worst_side = j, vals[j] - sys_.hi[j], "hi"
-            if worst_j >= 0:
-                active[worst_j] = worst_side
-                continue
-        # 2) coordinates driven to the floor leave the problem
-        stuck = (x <= 1e-10) & ~never_refix[free_idx]
-        if stuck.any() and res_inf > _NEWTON_TOL:
-            fixed[free_idx[stuck]] = True
-            continue
-        if res_inf > 1e-11:
-            break  # Newton is genuinely stuck; report the residual
-        # 3) wrong-sign multiplier: release that interval
-        if active:
-            ne_base = A_eq.shape[0]
-            drop, drop_val = -1, 1e-9
-            for pos, j in enumerate(act_sorted):
-                theta = y[ne_base + pos]
-                bad = -theta if active[j] == "hi" else theta
-                if bad > drop_val:
-                    drop, drop_val = j, bad
-            if drop >= 0:
-                del active[drop]
-                continue
-        # 4) fixed coordinates whose re-opening would gain entropy
-        rates = _dead_pair_rates(sys_, fixed, structural, eq_rows,
-                                 [j for j in act_sorted], y)
-        reopen = [v for v, rate in rates.items() if rate > 1e-9]
-        if reopen:
-            for v in reopen:
-                for i in (2 * v, 2 * v + 1):
-                    if fixed[i] and not structural[i]:
-                        fixed[i] = False
-                        never_refix[i] = True
-            continue
-        mults = y
-        break
+    xs = np.flatnonzero(support[:sys_.nv])
+    z, y, steps = _barrier_newton(G, g, z, xs, sys_.nv)
 
-    # KKT residual of the reported point
-    grad, _ = _objective_parts(x_full)
-    g = grad[free_idx]
-    act_sorted = sorted(active)
-    M_iv = sys_.M_iv[:, free_idx] if have_iv else np.zeros((0, free_idx.size))
-    A_all = np.vstack([A_eq] + [M_iv[j][None, :] for j in act_sorted]) \
-        if act_sorted else A_eq
-    if A_all.shape[0]:
-        mults = np.linalg.lstsq(A_all.T, g, rcond=None)[0]
-        r_stat = float(np.abs(g - A_all.T @ mults).max(initial=0.0))
-    else:
-        mults = np.zeros(0)
-        r_stat = float(np.abs(g).max(initial=0.0))
-    xf = x_full[free_idx]
-    r_eq = float(np.abs(A_eq @ xf - b_eq).max(initial=0.0)) if A_eq.shape[0] else 0.0
-    r_iv = 0.0
-    r_comp = 0.0
-    if have_iv:
-        vals = M_iv @ xf
-        r_iv = float(max(np.max(np.maximum(sys_.lo - vals, 0.0), initial=0.0),
-                         np.max(np.maximum(vals - sys_.hi, 0.0), initial=0.0)))
-        for pos, j in enumerate(act_sorted):
-            theta = mults[A_eq.shape[0] + pos]
-            slack = min(abs(vals[j] - sys_.lo[j]), abs(vals[j] - sys_.hi[j]))
-            r_comp = max(r_comp, abs(theta) * slack)
-            wrong = -theta if active[j] == "hi" else theta
-            r_comp = max(r_comp, max(wrong, 0.0))
-    r_bound = 0.0
-    rates = _dead_pair_rates(sys_, fixed, structural, eq_rows,
-                             act_sorted, mults)
-    for rate in rates.values():
-        if math.isfinite(rate):
-            r_bound = max(r_bound, max(rate, 0.0))
-        else:
-            r_bound = max(r_bound, 1.0)
-    kkt_residual = max(r_stat, r_eq, r_iv, r_comp, r_bound,
-                       float(max(-x_full.min(initial=0.0), 0.0)))
+    z_all = np.zeros(support.size)
+    z_all[support] = z
+    x = z_all[:sys_.nv]
+    zeta = -(G.T @ y)
+    zeta[:xs.size] -= _entropy(x, xs)[1]
+    kkt_residual = float(max(np.max(-zeta, initial=0.0),
+                             np.abs(z * zeta).max(),
+                             np.abs(G_all @ z_all - g_all).max(),
+                             _MU_STAGES[-1]))
 
-    x_full[free_idx] = np.where(xf <= 2 * floor, 0.0, xf)
-    table = table_from_top_level(x_full, mode=FLOAT)
+    table = table_from_top_level(x, mode=FLOAT)
     objective = conditional_entropy(table, depth)
-    status = STATUS_OPTIMAL if kkt_residual <= kkt_tol else STATUS_MAX_ITER
+    status = STATUS_OPTIMAL if kkt_residual <= 1e-9 else STATUS_MAX_ITER
     return OptimizationResult(status, table, objective,
-                              kkt_residual=kkt_residual,
-                              iterations=total_steps)
+                              kkt_residual=kkt_residual, iterations=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_entropy_infeasible_exit(capsys):
     assert "infeasible" in err
 
 
+def test_entropy_bad_depth_prints_nothing(capsys):
+    code = run(["entropy", "--a", "1/2", "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "depth" in captured.err
+
+
 def test_build_round_trip(tmp_path, capsys):
     out_file = tmp_path / "table.json"
     code = run(["build", "--a", "1/2,1/4", "--depth", "4",
@@ -121,8 +129,22 @@ def _levels_not_a_list(obj):
     obj["levels"] = 5
 
 
+def _fractional_depth(obj):
+    obj["depth"] = 2.9
+
+
+def _fractional_n(obj):
+    obj["levels"][1]["n"] = 1.2
+
+
+def _infinite_depth(obj):
+    obj["depth"] = math.inf
+
+
 @pytest.mark.parametrize("mangle", [_null_mass, _level_without_n,
-                                    _level_as_list, _levels_not_a_list])
+                                    _level_as_list, _levels_not_a_list,
+                                    _fractional_depth, _fractional_n,
+                                    _infinite_depth])
 def test_sample_malformed_table_exits_one(tmp_path, capsys, mangle):
     obj = table_to_json(bernoulli_table(0.5, 2))
     mangle(obj)
@@ -237,3 +259,21 @@ def test_spec_file_input(tmp_path, capsys):
 def test_exactly_one_spec_source(capsys):
     code = run(["check", "--a", "1/2", "--geometric", "1/2"])
     assert code == 1
+
+
+def _two_orbits(tmp_path):
+    path = tmp_path / "samples.txt"
+    path.write_text("0110100110010110\n1001011001101001\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n", "2", "--delta", "1.5", "--samples"],
+    ["freq", "--words", ",", "--sample"],
+])
+def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
+    code = run(argv + [_two_orbits(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

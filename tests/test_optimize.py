@@ -8,6 +8,7 @@ from shiftmaxent import (Constraint, ConstraintError, ConstraintSet,
                          FrequencySpec, all_words, bernoulli_table,
                          cell_maximize, compare_with_closed_form,
                          max_abs_deviation, solve, validate)
+from shiftmaxent.zeroblock import extend_spec
 
 from helpers import random_feasible_spec
 
@@ -273,3 +274,67 @@ def test_compare_random_specs():
         assert report.result.status == "optimal"
         assert report.max_cylinder_deviation <= 1e-6
         assert report.objective_deviation <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# regression cases: each ended slow, stalled or max_iter before the
+# barrier solver
+# ---------------------------------------------------------------------------
+
+def _assert_optimal(result, cset):
+    assert result.status == "optimal"
+    assert result.kkt_residual <= 1e-9
+    assert validate(result.table, tolerance=1e-9).ok
+    for e in cset:
+        assert e.lo - 1e-9 <= result.table.prob(e.word) <= e.hi + 1e-9
+
+
+def test_solve_equality_at_depth_8_matches_depth_2():
+    # mu([01]) = 231/680 took 26 s with 200+ Newton steps; a constraint on
+    # 2-words has a Markov optimum, so h^(8) equals h^(2)
+    cset = ConstraintSet.from_json([{"word": "01", "lo": "231/680",
+                                     "hi": "231/680"}])
+    result = solve(8, cset)
+    _assert_optimal(result, cset)
+    assert result.objective == pytest.approx(solve(2, cset).objective, abs=1e-9)
+
+
+def test_solve_dependent_intervals():
+    # mu[0] = mu[00] + mu[01] once invariance holds; this set ended
+    # max_iter at a point violating the intervals on 0 and 01
+    cset = ConstraintSet.from_json([
+        {"word": "0", "lo": "68933/97000", "hi": "1847/2425"},
+        {"word": "01", "lo": "17057/97000", "hi": "19191/97000"},
+        {"word": "00", "lo": "12387/24250", "hi": "52167/97000"}])
+    _assert_optimal(solve(4, cset), cset)
+
+
+def test_compare_float_spec_at_depth_8():
+    # ended max_iter with a KKT residual of about 9
+    spec = FrequencySpec(prefix=(0.7638700438862093, 0.5283155447511922,
+                                 0.2990691484807452, 0.09455712914939385,
+                                 0.0516021940798347), tail="constant")
+    report = compare_with_closed_form(spec, 8)
+    cset = ConstraintSet.equalities(
+        {"0" * k: float(a) for k, a in enumerate(extend_spec(spec, 8)) if k})
+    _assert_optimal(report.result, cset)
+    assert report.max_cylinder_deviation <= 1e-6
+    assert report.objective_deviation <= 1e-6
+
+
+def test_solve_interval_at_depth_9():
+    # took 82 s: an absolute Newton tolerance that 512 variables miss
+    cset = ConstraintSet((Constraint("0", 0.3, 0.3),
+                          Constraint("010", 0.05, 0.1)))
+    result = solve(9, cset)
+    _assert_optimal(result, cset)
+    expected = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
+    assert result.objective == pytest.approx(expected, abs=1e-9)
+
+
+def test_solve_mixture_without_unique_optimum():
+    # mu([01]) = 0 leaves the mixtures of the two fixed points
+    cset = ConstraintSet.equalities({"01": 0.0})
+    result = solve(3, cset)
+    _assert_optimal(result, cset)
+    assert result.objective == pytest.approx(0.0, abs=1e-9)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftmaxent import (FrequencySpec, build_max_entropy_table,
-                         table_from_json, table_to_json, validate)
+                         compare_with_closed_form, table_from_json,
+                         table_to_json, validate)
 
 
 @st.composite
@@ -42,3 +43,12 @@ def test_built_table_validates_and_round_trips(spec, depth):
     assert report.ok, report.describe()
     text = json.dumps(table_to_json(table))
     assert table_from_json(json.loads(text)) == table
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=feasible_specs(), depth=st.integers(3, 5))
+def test_solver_matches_built_table(spec, depth):
+    report = compare_with_closed_form(spec, depth)
+    assert report.result.status == "optimal"
+    assert report.max_cylinder_deviation <= 1e-6
+    assert report.objective_deviation <= 1e-6
