@@ -153,8 +153,8 @@ def cmd_sample(args):
 
 def cmd_freq(args):
     samples = _load_samples([args.sample])
-    if args.line >= len(samples):
-        raise ValueError(f"sample file has only {len(samples)} line(s)")
+    if not 0 <= args.line < len(samples):
+        raise ValueError(f"--line {args.line} outside 0..{len(samples) - 1}")
     x = samples[args.line]
     words = [w.strip() for w in args.words.split(",") if w.strip()]
     if not words:
@@ -163,7 +163,10 @@ def cmd_freq(args):
     targets = None
     if args.targets is not None:
         from fractions import Fraction
-        targets = [float(Fraction(t)) for t in args.targets.split(",")]
+        try:
+            targets = [float(Fraction(t)) for t in args.targets.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in --targets {args.targets!r}") from None
     profile = recurrence_profile(x, words, horizon, targets=targets)
     _emit("\n".join(profile.csv_rows()) + "\n", args.out)
     return 0

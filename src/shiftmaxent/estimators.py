@@ -16,15 +16,9 @@ import math
 
 import numpy as np
 
-from .measures import OrbitSample
+from .orbits import _bits_array
 
 _MAX_WORD_LENGTH = 62  # packed into int64 window codes
-
-
-def _bits(sample):
-    if isinstance(sample, OrbitSample):
-        return sample.bits
-    return np.asarray(sample, dtype=np.uint8)
 
 
 def _window_codes(bits, n):
@@ -35,23 +29,22 @@ def _window_codes(bits, n):
     return codes
 
 
-def _check_inputs(samples, n):
+def _word_counts(samples, n):
+    """Occurrences of each distinct length-n word, pooled over the samples."""
     if not samples:
         raise ValueError("need at least one sample")
     if not 1 <= n <= _MAX_WORD_LENGTH:
         raise ValueError(f"word length must be in 1..{_MAX_WORD_LENGTH}")
-    arrays = [_bits(s) for s in samples]
+    arrays = [_bits_array(s) for s in samples]
     if min(a.size for a in arrays) < n:
         raise ValueError("word length exceeds the shortest sample")
-    return arrays
+    codes = np.concatenate([_window_codes(a, n) for a in arrays])
+    return np.unique(codes, return_counts=True)[1]
 
 
 def word_count_entropy(samples, n):
     """(1/n) log of the number of distinct length-n factors observed."""
-    arrays = _check_inputs(samples, n)
-    uniques = [np.unique(_window_codes(a, n)) for a in arrays]
-    count = np.unique(np.concatenate(uniques)).size
-    return math.log(count) / n
+    return math.log(_word_counts(samples, n).size) / n
 
 
 def katok_entropy(samples, n, delta):
@@ -59,10 +52,7 @@ def katok_entropy(samples, n, delta):
     1 - delta (words taken in decreasing frequency)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    arrays = _check_inputs(samples, n)
-    codes = np.concatenate([_window_codes(a, n) for a in arrays])
-    _, counts = np.unique(codes, return_counts=True)
-    counts = np.sort(counts)[::-1]
+    counts = np.sort(_word_counts(samples, n))[::-1]
     total = counts.sum()
     threshold = (1.0 - delta) * total
     cumulative = np.cumsum(counts)

@@ -143,12 +143,6 @@ class CylinderTable:
             raise ValueError(f"level {n} out of range 0..{self.depth}")
         return dict(zip(all_words(n), self._levels[n].tolist()))
 
-    def as_float(self):
-        """Float-mode copy of this table."""
-        if self._mode == FLOAT:
-            return self
-        return CylinderTable(self._levels, mode=FLOAT)
-
     def __eq__(self, other):
         if not isinstance(other, CylinderTable):
             return NotImplemented
@@ -243,9 +237,6 @@ class ValidationReport:
     ok: bool
     tolerance: float
     violations: tuple
-
-    def max_residual(self):
-        return max((v.residual for v in self.violations), default=0.0)
 
     def describe(self):
         if self.ok:
@@ -401,7 +392,7 @@ class OrbitSample:
         return int(self.bits.size)
 
     def to_line(self):
-        return "".join("01"[b] for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
     @classmethod
     def from_line(cls, line, source="file"):
@@ -410,85 +401,69 @@ class OrbitSample:
 
 
 def _conditionals(table):
-    """P(next symbol = 1 | the j symbols before it) for j < depth.
+    """P(next symbol = 1 | the j < depth symbols w before it), as a list.
 
-    Entry j is a list indexed by those j symbols read in binary; the
-    last entry also serves every later step, applied to the last
+    The conditional given w sits at index (1 << j) | int(w, 2); index 0
+    is unused. Every step from the depth-th on conditions on its last
     depth-1 symbols (the Markov extension).
     """
-    conds = []
-    for j in range(table.depth):
-        parent = table._levels[j].astype(float)
-        ones = table._levels[j + 1][1::2].astype(float)
-        cond = np.zeros(parent.size)
-        live = parent > 0.0
-        cond[live] = np.clip(ones[live] / parent[live], 0.0, 1.0)
-        conds.append(cond.tolist())
-    return conds
+    parents = np.concatenate(table._levels[:-1]).astype(float)
+    ones = np.concatenate([level[1::2] for level in table._levels[1:]]).astype(float)
+    cond = np.zeros(parents.size + 1)
+    live = parents > 0.0
+    cond[1:][live] = np.clip(ones[live] / parents[live], 0.0, 1.0)
+    return cond.tolist()
 
 
-def _draw_bits(conds, length, seed):
-    k = len(conds) - 1
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
-    bits = np.empty(length, dtype=np.uint8)
-    state = 0
-    for j in range(min(length, k)):
-        b = 1 if u[j] < conds[j][state] else 0
-        bits[j] = b
-        state = (state << 1) | b
-    if length <= k:
-        return bits
-    if k == 0:
-        bits[:] = u < conds[0][0]
-        return bits
-    cond = conds[k]
-    mask = (1 << k) - 1
-    for j, uj in enumerate(u[k:].tolist(), start=k):
-        b = 1 if uj < cond[state] else 0
-        bits[j] = b
-        state = ((state << 1) | b) & mask
-    return bits
-
-
-def _require_valid(table):
-    report = validate(table)
-    if not report.ok:
-        raise ValueError(f"invalid table: {report.describe()}")
+def _draw_bits(cond, length, seed):
+    u = np.random.default_rng(seed).random(length)
+    if len(cond) == 2:  # depth 1: independent symbols
+        return (u < cond[1]).astype(np.uint8)
+    # state is a leading 1 followed by the conditioning symbols; once it
+    # holds depth symbols it keeps only the last depth-1.
+    end = len(cond)
+    top = end >> 1
+    low = top - 1
+    bits = bytearray(length)
+    state = 1
+    for j, uj in enumerate(u.tolist()):
+        if uj < cond[state]:
+            bits[j] = 1
+            state = state << 1 | 1
+        else:
+            state <<= 1
+        if state >= end:
+            state = top | state & low
+    return np.frombuffer(bits, dtype=np.uint8)
 
 
 def sample_orbit(table, length, seed):
-    """Draw one orbit prefix of the measure in `table`.
-
-    The first depth symbols use the successive table conditionals
-    p_{we}/p_w; later symbols follow the order-(depth-1) Markov
-    extension. Deterministic given (table, length, seed).
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    _require_valid(table)
-    bits = _draw_bits(_conditionals(table), length, seed)
-    source = f"table(depth={table.depth}, mode={table.mode})"
-    return OrbitSample(bits=bits, seed=int(seed), source=source)
+    """Draw one orbit prefix: ``sample_orbits(table, length, 1, seed)[0]``."""
+    return sample_orbits(table, length, 1, seed)[0]
 
 
 def sample_orbits(table, length, count, seed):
-    """Draw `count` independent orbits; sample i uses seed XOR i.
+    """Draw `count` independent orbit prefixes; sample i uses seed XOR i.
 
-    Results are independent of evaluation order, so batches may be
+    The first depth symbols use the successive table conditionals
+    p_{we}/p_w; later symbols follow the order-(depth-1) Markov
+    extension. Deterministic given (table, length, count, seed), and
+    sample i does not depend on the others, so batches may be
     parallelized.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    _require_valid(table)
-    conds = _conditionals(table)
+    report = validate(table)
+    if not report.ok:
+        raise ValueError(f"invalid table: {report.describe()}")
+    cond = _conditionals(table)
     source = f"table(depth={table.depth}, mode={table.mode})"
     out = []
     for i in range(count):
         s = int(seed) ^ i
-        out.append(OrbitSample(bits=_draw_bits(conds, length, s),
+        out.append(OrbitSample(bits=_draw_bits(cond, length, s),
                                seed=s, source=source))
     return out
 
@@ -532,7 +507,7 @@ def table_from_json(obj):
                 levels.append([Fraction(str(p)) for p in entry["probs"]])
             else:
                 levels.append([float(p) for p in entry["probs"]])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
     return CylinderTable(levels, mode=mode)
 

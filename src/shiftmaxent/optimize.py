@@ -60,7 +60,10 @@ _MU_STAGES = 10.0 ** -np.arange(2, 14)   # barrier weights 1e-2 ... 1e-13
 
 def _as_bound(value):
     if isinstance(value, str):
-        return float(Fraction(value))
+        try:
+            return float(Fraction(value))
+        except ZeroDivisionError:
+            raise ConstraintError(f"zero denominator in bound {value!r}") from None
     return float(value)
 
 

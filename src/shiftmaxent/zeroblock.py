@@ -40,7 +40,10 @@ def _coerce_values(values):
     exact = True
     for v in values:
         if isinstance(v, str):
-            parsed.append(Fraction(v))
+            try:
+                parsed.append(Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {v!r}") from None
         elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             parsed.append(Fraction(v))
         elif isinstance(v, float):

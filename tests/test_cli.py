@@ -86,16 +86,37 @@ def test_build_stdout_deterministic(capsys):
     assert table == bernoulli_table("1/2", 3)
 
 
-@pytest.mark.parametrize("spec, golden", [
-    (["--a", "1/2,1/5,1/10"], "build_exact_d3.json"),
-    ({"a": [0.5, 0.3, 0.15, 0.05], "tail": "affine"}, "build_float_d3.json"),
-])
-def test_build_output_is_pinned(tmp_path, capsys, spec, golden):
+_AFFINE = {"a": [0.5, 0.3, 0.15, 0.05], "tail": "affine"}
+
+
+def _spec_argv(tmp_path, spec):
+    """Spec flags; a dict spec goes through a --spec file."""
     if isinstance(spec, dict):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         spec = ["--spec", str(path)]
-    assert run(["build", *spec, "--depth", "3"]) == 0
+    return spec
+
+
+@pytest.mark.parametrize("spec, golden", [
+    (["--a", "1/2,1/5,1/10"], "build_exact_d3.json"),
+    (_AFFINE, "build_float_d3.json"),
+])
+def test_build_output_is_pinned(tmp_path, capsys, spec, golden):
+    assert run(["build", *_spec_argv(tmp_path, spec), "--depth", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("spec, depth, length, golden", [
+    (["--a", "1/2"], 1, 200, "sample_bernoulli_d1.txt"),
+    (["--a", "1/2,1/5,1/10"], 3, 200, "sample_exact_d3.txt"),
+    (_AFFINE, 8, 200, "sample_float_d8.txt"),
+    (["--a", "1/2,1/5,1/10"], 6, 4, "sample_short_d6.txt"),
+])
+def test_sample_output_is_pinned(tmp_path, capsys, spec, depth, length, golden):
+    # --count 3 covers the seeds 123456789 ^ i of the default seed.
+    assert run(["sample", *_spec_argv(tmp_path, spec), "--depth", str(depth),
+                "--length", str(length), "--count", "3"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
@@ -270,9 +291,42 @@ def _two_orbits(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--n", "2", "--delta", "1.5", "--samples"],
     ["freq", "--words", ",", "--sample"],
+    ["freq", "--words", "0", "--line", "-1", "--sample"],
+    ["freq", "--words", "0", "--line", "-3", "--sample"],
 ])
 def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
     code = run(argv + [_two_orbits(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def _zero_bound_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"word": "0", "lo": "1/0", "hi": 1}]))
+    return ["optimize", "--depth", "2", "--constraints", str(path)]
+
+
+def _zero_mass_table_file(tmp_path):
+    obj = table_to_json(bernoulli_table("1/2", 2))
+    obj["levels"][2]["probs"][0] = "1/0"
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    return ["sample", "--length", "10", "--table", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["check", "--a", "1/0"],
+    lambda tmp_path: ["check", "--geometric", "1/0"],
+    lambda tmp_path: ["freq", "--words", "0", "--targets", "1/0",
+                      "--sample", _two_orbits(tmp_path)],
+    _zero_bound_file,
+    _zero_mass_table_file,
+], ids=["check-a", "check-geometric", "freq-targets", "optimize-bound",
+        "table-mass"])
+def test_zero_denominator_is_bad_input(tmp_path, capsys, argv):
+    code = run(argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -10,7 +10,7 @@ from shiftmaxent import (CylinderTable, StructuralError, all_words,
                          sample_orbit, sample_orbits, table_from_json,
                          table_from_top_level, table_to_json, truncate_table,
                          validate)
-from shiftmaxent.measures import MarkovMeasure
+from shiftmaxent.measures import MarkovMeasure, OrbitSample
 
 from helpers import product_mass
 
@@ -272,6 +272,14 @@ def test_sample_batch_uses_xor_seeds():
         assert sample.seed == 1000 ^ i
         alone = sample_orbit(table, 300, seed=1000 ^ i)
         assert np.array_equal(sample.bits, alone.bits)
+
+
+@pytest.mark.parametrize("length", [1, 2, 9, 1000])
+def test_orbit_line_round_trip(length):
+    bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
+    line = OrbitSample(bits=bits, seed=0, source="test").to_line()
+    assert line == "".join(map(str, bits.tolist()))
+    assert np.array_equal(OrbitSample.from_line(line).bits, bits)
 
 
 def test_sample_invalid_table_rejected():
