@@ -338,3 +338,60 @@ def test_solve_mixture_without_unique_optimum():
     result = solve(3, cset)
     _assert_optimal(result, cset)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# infeasibility certificate
+# ---------------------------------------------------------------------------
+
+def _named_row(name, depth):
+    """Top-level coefficient row of the constraint called `name`."""
+    nv = 1 << depth
+    row = np.zeros(nv)
+    if name == "normalization":
+        row[:] = 1.0
+    elif name.startswith("invariance["):
+        v, half = int(name[len("invariance["):-1], 2), nv >> 1
+        row[v] += 1.0
+        row[v + half] += 1.0
+        row[2 * v] -= 1.0
+        row[2 * v + 1] -= 1.0
+    else:
+        word = name[len("mass["):-1]
+        gap = depth - len(word)
+        base = int(word, 2) << gap
+        row[base:base + (1 << gap)] = 1.0
+    return row
+
+
+_INFEASIBLE_SETS = [
+    # mu[w e] > mu[w]
+    (("01", 0.2, 0.2), ("010", 0.25, 0.35)),
+    # mu[01] != mu[10]
+    (("01", 0.2, 0.2), ("10", 0.25, 0.25)),
+    # mu[0] + mu[1] > 1
+    (("0", 0.6, 1.0), ("1", 0.45, 1.0)),
+]
+
+
+@pytest.mark.parametrize("depth, entries",
+                         [(2, (("0", 0.3, 0.3), ("00", 0.4, 0.4)))]
+                         + [(d, e) for d in (4, 8) for e in _INFEASIBLE_SETS])
+def test_infeasible_certificate_is_farkas(depth, entries):
+    # sum_k c_k row_k <= 0 on x >= 0 while sum_k c_k rhs_k > 0, with rhs_k
+    # the side of the interval that c_k pushes against: no x >= 0 meets
+    # every constraint
+    cset = ConstraintSet(entries)
+    result = solve(depth, cset)
+    assert result.status == "infeasible"
+    bounds = {f"mass[{e.word}]": (e.lo, e.hi) for e in cset}
+    combined = np.zeros(1 << depth)
+    rhs = 0.0
+    for name, c in result.certificate["separating_duals"].items():
+        combined += c * _named_row(name, depth)
+        lo, hi = bounds.get(name, (float(name == "normalization"),) * 2)
+        rhs += c * (lo if c > 0 else hi)
+    violation = result.certificate["total_violation"]
+    assert violation > 0
+    assert combined.max() <= 1e-9
+    assert rhs == pytest.approx(violation, abs=1e-9)
