@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .orbits import _bits_array
+from .measures import _bits_array
 
 _MAX_WORD_LENGTH = 62  # packed into int64 window codes
 

@@ -372,6 +372,19 @@ def entropy_ladder(table):
 # Orbit sampling
 # ---------------------------------------------------------------------------
 
+def _bits_array(x):
+    """The bits of x (an :class:`OrbitSample` or a 1-d sequence) as a
+    uint8 array; any value other than 0 or 1 is rejected."""
+    if isinstance(x, OrbitSample):
+        return x.bits
+    values = np.asarray(x)
+    if values.ndim != 1:
+        raise ValueError("bits must be a 1-d sequence")
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError("bits must be 0/1")
+    return values.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class OrbitSample:
     """A finite binary sequence with its provenance."""
@@ -381,11 +394,9 @@ class OrbitSample:
     source: str
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size < 1:
-            raise ValueError("bits must be a nonempty 1-d sequence")
-        if bits.max(initial=0) > 1:
-            raise ValueError("bits must be 0/1")
+        bits = _bits_array(self.bits)
+        if bits.size < 1:
+            raise ValueError("bits must be nonempty")
         object.__setattr__(self, "bits", bits)
 
     def __len__(self):

@@ -14,17 +14,16 @@ Each interval lo <= m.x <= hi gets two slacks, m.x - s_lo = lo and
 m.x + s_hi = hi, so the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}.
 The solver runs one path:
 
-1. phase-1 LP (HiGHS): feasibility of the polytope, with an elastic
-   re-solve producing a separating certificate when it is empty;
-2. max-support LP: over the homogenized cone {(z, tau) >= 0 :
+1. max-support LP (HiGHS): over the homogenized cone {(z, tau) >= 0 :
    G z = g tau}, maximize sum_i min(z_i, 1). The coordinates where the
    minimum is 1 are the support of the feasible face; all others are 0
    on the whole polytope and are dropped (an interval side whose slack
    is never open becomes an equality), and z / tau is a strictly
-   feasible start;
-3. barrier Newton: an equality-constrained Newton method on the support
+   feasible start. An empty support means the polytope is empty, and
+   only then an elastic LP runs to produce a separating certificate;
+2. barrier Newton: an equality-constrained Newton method on the support
    maximizes h^(n) + mu sum_i log z_i for mu = 1e-2, 1e-3, ..., 1e-13;
-4. residual: the bound multipliers are zeta = -(grad h + G^T y), with y
+3. residual: the bound multipliers are zeta = -(grad h + G^T y), with y
    from the last Newton solve, and the reported KKT residual is the
    largest of the dual infeasibility max(-zeta), the complementarity
    max |z_i zeta_i|, the primal residual |G z - g| and mu.
@@ -178,101 +177,64 @@ def _marginal_row(word, depth, nv):
     return row
 
 
-class _System:
-    def __init__(self, depth, cset):
-        nv = 1 << depth
-        half = nv >> 1
-        self.depth = depth
-        self.nv = nv
-        # invariance of the (n-1)-word v: x_{0v} + x_{1v} = x_{v0} + x_{v1}
-        v = np.arange(half)
-        invariance = np.zeros((half, nv))
-        for cols, sign in ((v, 1.0), (v + half, 1.0), (2 * v, -1.0),
-                           (2 * v + 1, -1.0)):
-            invariance[v, cols] += sign
-        eq_rows, eq_b = [np.ones(nv), *invariance], [1.0] + [0.0] * half
-        eq_names = ["normalization"] + [
-            f"invariance[{u:0{depth - 1}b}]" for u in range(half)]
-        iv_rows, iv_lo, iv_hi, iv_names = [], [], [], []
-        for e in cset:
-            if len(e.word) > depth:
-                raise ConstraintError(
-                    f"constrained word {e.word!r} longer than depth {depth}")
-            row = _marginal_row(e.word, depth, nv)
-            if e.is_equality:
-                eq_rows.append(row)
-                eq_b.append(e.lo)
-                eq_names.append(f"mass[{e.word}]")
-            else:
-                iv_rows.append(row)
-                iv_lo.append(e.lo)
-                iv_hi.append(e.hi)
-                iv_names.append(f"mass[{e.word}]")
-        self.A_eq = np.array(eq_rows)
-        self.b_eq = np.array(eq_b)
-        self.eq_names = eq_names
-        self.M_iv = np.array(iv_rows) if iv_rows else np.zeros((0, nv))
-        self.lo = np.array(iv_lo)
-        self.hi = np.array(iv_hi)
-        self.iv_names = iv_names
+def _slack_form(depth, cset):
+    """(G, g, row names): the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}.
 
-    def ub_matrices(self):
-        """Interval rows as A_ub x <= b_ub."""
-        if self.M_iv.shape[0] == 0:
-            return None, None
-        return (np.vstack([self.M_iv, -self.M_iv]),
-                np.concatenate([self.hi, -self.lo]))
-
-    def slack_form(self):
-        """(G, g): the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}."""
-        ne, ni = self.A_eq.shape[0], self.M_iv.shape[0]
-        eye, zero = np.eye(ni), np.zeros((ni, ni))
-        G = np.block([[self.A_eq, np.zeros((ne, 2 * ni))],
-                      [self.M_iv, -eye, zero],
-                      [self.M_iv, zero, eye]])
-        return G, np.concatenate([self.b_eq, self.lo, self.hi])
+    The rows are the equalities, then the lower and then the upper side
+    of each interval, which names both of its rows.
+    """
+    nv = 1 << depth
+    half = nv >> 1
+    # invariance of the (n-1)-word v: x_{0v} + x_{1v} = x_{v0} + x_{v1}
+    v = np.arange(half)
+    invariance = np.zeros((half, nv))
+    for cols, sign in ((v, 1.0), (v + half, 1.0), (2 * v, -1.0),
+                       (2 * v + 1, -1.0)):
+        invariance[v, cols] += sign
+    eq_rows, eq_b = [np.ones(nv), *invariance], [1.0] + [0.0] * half
+    eq_names = ["normalization"] + [
+        f"invariance[{u:0{depth - 1}b}]" for u in range(half)]
+    iv_rows, iv_lo, iv_hi, iv_names = [], [], [], []
+    for e in cset:
+        if len(e.word) > depth:
+            raise ConstraintError(
+                f"constrained word {e.word!r} longer than depth {depth}")
+        row = _marginal_row(e.word, depth, nv)
+        if e.is_equality:
+            eq_rows.append(row)
+            eq_b.append(e.lo)
+            eq_names.append(f"mass[{e.word}]")
+        else:
+            iv_rows.append(row)
+            iv_lo.append(e.lo)
+            iv_hi.append(e.hi)
+            iv_names.append(f"mass[{e.word}]")
+    ne, ni = len(eq_rows), len(iv_rows)
+    M = np.array(iv_rows).reshape(ni, nv)
+    eye, zero = np.eye(ni), np.zeros((ni, ni))
+    G = np.block([[np.array(eq_rows), np.zeros((ne, 2 * ni))],
+                  [M, -eye, zero],
+                  [M, zero, eye]])
+    return G, np.array(eq_b + iv_lo + iv_hi), eq_names + 2 * iv_names
 
 
-def _phase1(sys_):
-    """Feasibility of the polytope; on failure, an elastic certificate."""
-    A_ub, b_ub = sys_.ub_matrices()
-    res = linprog(np.zeros(sys_.nv), A_ub=A_ub, b_ub=b_ub,
-                  A_eq=sys_.A_eq, b_eq=sys_.b_eq, bounds=(0, 1),
-                  method="highs")
-    if res.status == 0:
-        return True, None
-    ne = sys_.A_eq.shape[0]
-    ni = sys_.M_iv.shape[0]
-    nv = sys_.nv
-    nslack = ne + ni
-    rows, rhs = [], []
-    for k in range(ne):
-        slack = np.zeros(nslack)
-        slack[k] = -1.0
-        rows.append(np.concatenate([sys_.A_eq[k], slack]))
-        rhs.append(sys_.b_eq[k])
-        rows.append(np.concatenate([-sys_.A_eq[k], slack]))
-        rhs.append(-sys_.b_eq[k])
-    for k in range(ni):
-        slack = np.zeros(nslack)
-        slack[ne + k] = -1.0
-        rows.append(np.concatenate([sys_.M_iv[k], slack]))
-        rhs.append(sys_.hi[k])
-        rows.append(np.concatenate([-sys_.M_iv[k], slack]))
-        rhs.append(-sys_.lo[k])
-    cost = np.concatenate([np.zeros(nv), np.ones(nslack)])
-    bounds = [(0.0, 1.0)] * nv + [(0.0, None)] * nslack
-    res2 = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                   bounds=bounds, method="highs")
-    names = sys_.eq_names + sys_.iv_names
-    certificate = {"total_violation": float(res2.fun) if res2.status == 0 else math.inf}
-    if res2.status == 0:
-        duals = np.asarray(res2.ineqlin.marginals)
-        per = {}
-        for k, name in enumerate(names):
-            per[name] = float(duals[2 * k] - duals[2 * k + 1])
-        certificate["separating_duals"] = per
-    return False, certificate
+def _elastic_certificate(G, g, names):
+    """Separating certificate of an empty polytope {z >= 0 : G z = g}.
+
+    The elastic LP min sum(p + q) s.t. G z + p - q = g, (z, p, q) >= 0
+    has equality multipliers y with G^T y <= 0 and g^T y equal to its
+    optimum, the total violation. Each constraint gets the sum of its
+    rows' multipliers; for an interval that is the net of its two sides.
+    """
+    m, nz = G.shape
+    eye = sparse.identity(m, format="csr")
+    res = linprog(np.concatenate([np.zeros(nz), np.ones(2 * m)]),
+                  A_eq=sparse.hstack([G, eye, -eye]), b_eq=g,
+                  bounds=(0.0, None), method="highs")
+    duals = dict.fromkeys(names, 0.0)
+    for name, y in zip(names, res.eqlin.marginals):
+        duals[name] += float(y)
+    return {"total_violation": float(res.fun), "separating_duals": duals}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +248,8 @@ def _max_support(G, g):
     maximizes sum_i u_i with u_i <= min(z_i, 1). The cone is closed
     under addition, so the optimum sets u_i = 1 exactly on the largest
     support, where z_i >= 1; every other z_i is 0 on the whole polytope.
+    On an empty polytope the cone is {0} (the normalization row forces
+    x = 0 and then every slack is 0), so the support is empty.
     Returns (support mask, z / tau on the support).
     """
     m, nz = G.shape
@@ -387,22 +351,19 @@ def solve(depth, constraints=None):
     Returns an :class:`OptimizationResult`; on feasible instances the
     table is float-mode, passes validation, and the KKT residual of the
     reported point is included; `iterations` counts Newton steps.
-    Infeasible polytopes are detected by a phase-1 LP and reported with
+    An empty polytope, detected by the max-support LP, is reported with
     a separating certificate.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     cset = _normalize_constraints(constraints)
-    sys_ = _System(depth, cset)
-
-    feasible, certificate = _phase1(sys_)
-    if not feasible:
-        return OptimizationResult(STATUS_INFEASIBLE, None, None,
-                                  kkt_residual=math.inf, iterations=0,
-                                  certificate=certificate)
-
-    G_all, g_all = sys_.slack_form()
+    G_all, g_all, names = _slack_form(depth, cset)
     support, z = _max_support(G_all, g_all)
+    if not support.any():
+        return OptimizationResult(
+            STATUS_INFEASIBLE, None, None, kkt_residual=math.inf, iterations=0,
+            certificate=_elastic_certificate(G_all, g_all, names))
+
     # an independent row set of the equalities restricted to the face
     G = G_all[:, support]
     _, r, piv = qr(G.T, mode="economic", pivoting=True)
@@ -411,12 +372,13 @@ def solve(depth, constraints=None):
     rows = np.sort(piv[:rank])
     G, g = G[rows], g_all[rows]
 
-    xs = np.flatnonzero(support[:sys_.nv])
-    z, y, steps = _barrier_newton(G, g, z, xs, sys_.nv)
+    nv = 1 << depth
+    xs = np.flatnonzero(support[:nv])
+    z, y, steps = _barrier_newton(G, g, z, xs, nv)
 
     z_all = np.zeros(support.size)
     z_all[support] = z
-    x = z_all[:sys_.nv]
+    x = z_all[:nv]
     zeta = -(G.T @ y)
     zeta[:xs.size] -= _entropy(x, xs)[1]
     kkt_residual = float(max(np.max(-zeta, initial=0.0),

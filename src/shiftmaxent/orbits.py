@@ -14,17 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedRatioError
-from .measures import OrbitSample
+from .measures import OrbitSample, _bits_array
 from .words import canonical_index, check_word
-
-
-def _bits_array(x):
-    if isinstance(x, OrbitSample):
-        return x.bits
-    bits = np.asarray(x, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ValueError("orbit must be a 1-d bit sequence")
-    return bits
 
 
 def match_count(x, word, horizon):
@@ -129,6 +120,8 @@ def recurrence_profile(x, words, horizon, targets=None):
         targets = tuple(float(t) for t in targets)
         if len(targets) != len(words):
             raise ValueError("targets must align with words")
+        if not all(0.0 <= t <= 1.0 for t in targets):
+            raise ValueError(f"targets must lie in [0, 1], got {targets}")
     averages = tuple(recurrence(x, w, horizon) for w in words)
     return RecurrenceProfile(words=words, horizon=horizon,
                              averages=averages, targets=targets)

@@ -293,6 +293,7 @@ def _two_orbits(tmp_path):
     ["freq", "--words", ",", "--sample"],
     ["freq", "--words", "0", "--line", "-1", "--sample"],
     ["freq", "--words", "0", "--line", "-3", "--sample"],
+    ["freq", "--words", "0", "--horizon", "3", "--targets", "2", "--sample"],
 ])
 def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
     code = run(argv + [_two_orbits(tmp_path)])

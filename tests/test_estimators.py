@@ -126,3 +126,9 @@ def test_estimator_input_validation():
         katok_entropy(samples, 5, 0.0)
     with pytest.raises(ValueError):
         katok_entropy(samples, 5, 1.0)
+
+
+def test_word_count_rejects_values_other_than_bits():
+    # used to count four distinct 1-words, log 4 > log 2
+    with pytest.raises(ValueError):
+        word_count_entropy([np.array([0, 2, 3, 1])], 1)

@@ -282,6 +282,12 @@ def test_orbit_line_round_trip(length):
     assert np.array_equal(OrbitSample.from_line(line).bits, bits)
 
 
+def test_orbit_sample_rejects_values_other_than_bits():
+    # used to hold [0, 1], the floats truncated
+    with pytest.raises(ValueError):
+        OrbitSample(bits=[0.5, 1.7], seed=0, source="test")
+
+
 def test_sample_invalid_table_rejected():
     levels = [{"": 1.0}, {"0": 0.7, "1": 0.7}]
     bad = CylinderTable(levels, mode="float")

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from shiftmaxent import optimize
 from shiftmaxent import (Constraint, ConstraintError, ConstraintSet,
                          FrequencySpec, all_words, bernoulli_table,
                          cell_maximize, compare_with_closed_form,
@@ -168,6 +169,23 @@ def test_solve_geometric_equalities_reach_uniform():
         result = solve(depth, constraints)
         assert result.status == "optimal"
         assert result.objective == pytest.approx(math.log(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("constraints, lp_calls", [
+    ({"0": 0.3}, 1),               # the max-support LP alone
+    ({"0": 0.3, "00": 0.4}, 2),    # plus the elastic LP for the certificate
+])
+def test_solve_lp_calls(monkeypatch, constraints, lp_calls):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    linprog = optimize.linprog
+    monkeypatch.setattr(optimize, "linprog", counting_linprog)
+    solve(3, constraints)
+    assert len(calls) == lp_calls
 
 
 def test_solve_inconsistent_marginals_infeasible():

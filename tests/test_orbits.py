@@ -175,3 +175,16 @@ def test_recurrence_profile_csv():
     assert len(rows) == 3
     bare = recurrence_profile(x, ["0"], 998)
     assert bare.csv_rows()[1].endswith(",,")
+
+
+def test_recurrence_profile_rejects_targets_outside_unit_interval():
+    x = _periodic01(10)
+    for bad in (2.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            recurrence_profile(x, ["0"], 3, targets=[bad])
+
+
+def test_recurrence_rejects_values_other_than_bits():
+    # used to truncate the floats to 0, 1, 1, 0 and return 0.5
+    with pytest.raises(ValueError):
+        recurrence([0.5, 1.7, 1.2, 0.9], "0", 4)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftmaxent import (FrequencySpec, build_max_entropy_table,
-                         compare_with_closed_form, table_from_json,
-                         table_to_json, validate)
+                         compare_with_closed_form, entropy_closed_form,
+                         entropy_ladder, table_from_json, table_to_json,
+                         validate)
 
 
 @st.composite
@@ -52,3 +53,17 @@ def test_solver_matches_built_table(spec, depth):
     assert report.result.status == "optimal"
     assert report.max_cylinder_deviation <= 1e-6
     assert report.objective_deviation <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=feasible_specs(), depth=st.integers(2, 8))
+def test_entropy_ladder_descends_to_closed_form(spec, depth):
+    closed = entropy_closed_form(spec)
+    ladder = [h for _, h in entropy_ladder(build_max_entropy_table(spec, depth))]
+    assert all(lower <= upper + 1e-12
+               for upper, lower in zip(ladder, ladder[1:]))
+    assert ladder[-1] >= closed.value - 1e-12
+    # past the support of the second differences the ladder is flat
+    end = closed.support_end + 2
+    last = entropy_ladder(build_max_entropy_table(spec, end))[-1][1]
+    assert abs(last - closed.value) <= 1e-12
