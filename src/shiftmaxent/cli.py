@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -189,6 +190,7 @@ def cmd_estimate(args):
     return 0
 
 
+@functools.cache   # one parser per process; parsing never mutates it
 def _build_parser():
     parser = _Parser(prog="shiftmaxent",
                      description="maximum-entropy invariant measures on the "

@@ -30,6 +30,10 @@ The solver runs one path:
 
 Any convergent concave maximizer would do; the contract is the reported
 KKT residual and constraint satisfaction.
+
+scipy (HiGHS, sparse matrices, pivoted QR) is imported inside the
+functions that use it, so it loads on the first solve: importing this
+module, or running any CLI command but optimize and compare, does not.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import qr
-from scipy.optimize import linprog
 
 from .errors import ConstraintError
 from .measures import (FLOAT, CylinderTable, conditional_entropy,
@@ -218,6 +219,13 @@ def _slack_form(depth, cset):
     return G, np.array(eq_b + iv_lo + iv_hi), eq_names + 2 * iv_names
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP. Every LP calls
+    this module-level name, so a caller can wrap or replace it."""
+    from scipy.optimize import linprog as highs_linprog
+    return highs_linprog(*args, **kwargs)
+
+
 def _elastic_certificate(G, g, names):
     """Separating certificate of an empty polytope {z >= 0 : G z = g}.
 
@@ -226,6 +234,7 @@ def _elastic_certificate(G, g, names):
     optimum, the total violation. Each constraint gets the sum of its
     rows' multipliers; for an interval that is the net of its two sides.
     """
+    from scipy import sparse
     m, nz = G.shape
     eye = sparse.identity(m, format="csr")
     res = linprog(np.concatenate([np.zeros(nz), np.ones(2 * m)]),
@@ -252,6 +261,7 @@ def _max_support(G, g):
     x = 0 and then every slack is 0), so the support is empty.
     Returns (support mask, z / tau on the support).
     """
+    from scipy import sparse
     m, nz = G.shape
     eye = sparse.identity(nz, format="csr")
     A_eq = sparse.hstack([G, -g[:, None], sparse.csr_matrix((m, nz))])
@@ -354,6 +364,7 @@ def solve(depth, constraints=None):
     An empty polytope, detected by the max-support LP, is reported with
     a separating certificate.
     """
+    from scipy.linalg import qr
     if depth < 2:
         raise ValueError("depth must be >= 2")
     cset = _normalize_constraints(constraints)

@@ -187,6 +187,8 @@ def check_feasible(spec, upto=None):
     m = len(spec.prefix)
     if upto is None:
         upto = _support_end(spec) + 2
+    elif upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
     upto = max(upto, m)
     return _check_sequence(extend_spec(spec, upto), upto)
 

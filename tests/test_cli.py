@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import shiftmaxent
 from shiftmaxent import (bernoulli_table, load_table, table_from_json,
                          table_to_json)
 from shiftmaxent.cli import run
@@ -30,6 +34,14 @@ def test_check_monotone_infeasible(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "j=1" in out
+
+
+def test_check_negative_upto_exits_one(capsys):
+    code = run(["check", "--a", "1/2", "--upto", "-4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "upto" in captured.err
 
 
 def test_entropy_geometric(capsys):
@@ -332,3 +344,59 @@ def test_zero_denominator_is_bad_input(tmp_path, capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+_NO_SOLVE_PIPELINE = """
+import json, sys
+from pathlib import Path
+import shiftmaxent
+from shiftmaxent import cli
+tmp = Path(sys.argv[1])
+table, orbits = str(tmp / "table.json"), str(tmp / "orbits.txt")
+codes = [cli.run(argv) for argv in (
+    ["check", "--a", "1/2,1/4"],
+    ["build", "--a", "1/2,1/4", "--depth", "4", "--out", table],
+    ["sample", "--table", table, "--length", "64", "--count", "2",
+     "--out", orbits],
+    ["freq", "--sample", orbits, "--words", "0,11",
+     "--out", str(tmp / "freq.csv")],
+    ["estimate", "--samples", orbits, "--n", "2", "--delta", "0.5"],
+    ["generic", "--length", "32", "--out", str(tmp / "generic.txt")],
+    ["entropy", "--a", "1/2,1/4", "--depth", "5"],
+)]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+status = shiftmaxent.solve(2, {"00": 0.0}).status
+after = "scipy.optimize" in sys.modules
+print(json.dumps({"codes": codes, "before": before, "status": status,
+                  "after": after}))
+"""
+
+
+def test_commands_without_a_solve_never_import_scipy(tmp_path):
+    src = Path(shiftmaxent.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SOLVE_PIPELINE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 7
+    assert report["before"] == []
+    assert report["status"] == "optimal"
+    assert report["after"]
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    spec = ["--a", "1/2", "--depth", "2"]
+    assert run(["sample", *spec, "--count", "3"]) == 1
+    assert capsys.readouterr().out == ""
+    assert run(["sample", *spec, "--length", "5", "--count", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert run(["sample", *spec, "--length", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    builds = []
+    for _ in range(2):
+        assert run(["build", "--a", "1/2,1/4", "--depth", "3"]) == 0
+        builds.append(capsys.readouterr().out)
+    assert builds[0] != ""
+    assert builds[0] == builds[1]
