@@ -143,10 +143,17 @@ def cmd_compare(args):
 
 def cmd_sample(args):
     if args.table is not None:
+        spec_flags = [flag for flag, value in (
+            ("--a", args.a), ("--spec", args.spec),
+            ("--geometric", args.geometric), ("--depth", args.depth))
+            if value is not None]
+        if spec_flags:
+            raise _UsageError(
+                f"--table cannot be combined with {', '.join(spec_flags)}")
         table = load_table(args.table)
     else:
         spec = _spec_from_args(args)
-        table = build_max_entropy_table(spec, args.depth)
+        table = build_max_entropy_table(spec, 6 if args.depth is None else args.depth)
     samples = sample_orbits(table, args.length, args.count, args.seed)
     _emit("".join(s.to_line() + "\n" for s in samples), args.out)
     return 0
@@ -231,7 +238,8 @@ def _build_parser():
     p = sub.add_parser("sample", help="draw orbits from a table or spec")
     _add_spec_flags(p)
     p.add_argument("--table", default=None, help="table JSON file")
-    p.add_argument("--depth", type=int, default=6, help="build depth for specs")
+    p.add_argument("--depth", type=int, default=None,
+                   help="build depth for specs (default 6)")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -23,6 +23,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,7 +413,7 @@ class OrbitSample:
 
 
 def _conditionals(table):
-    """P(next symbol = 1 | the j < depth symbols w before it), as a list.
+    """P(next symbol = 1 | the j < depth symbols w before it), as an array.
 
     The conditional given w sits at index (1 << j) | int(w, 2); index 0
     is unused. Every step from the depth-th on conditions on its last
@@ -423,29 +424,120 @@ def _conditionals(table):
     cond = np.zeros(parents.size + 1)
     live = parents > 0.0
     cond[1:][live] = np.clip(ones[live] / parents[live], 0.0, 1.0)
-    return cond.tolist()
+    return cond
 
 
-def _draw_bits(cond, length, seed):
-    u = np.random.default_rng(seed).random(length)
-    if len(cond) == 2:  # depth 1: independent symbols
-        return (u < cond[1]).astype(np.uint8)
-    # state is a leading 1 followed by the conditioning symbols; once it
-    # holds depth symbols it keeps only the last depth-1.
-    end = len(cond)
+#: Uniforms held at once: orbits are drawn in batches of at most this
+#: many bits (or one orbit), which bounds the sampler's memory.
+_BATCH_BITS = 1 << 20
+#: Below about 90 lanes the vector pass and its repairs cost more than
+#: the per-bit loop they replace (measured at depths 3-8).
+_MIN_LANES = 96
+#: Steps the repair takes before it first checks for coupling.
+_REPAIR_STEPS = 8
+
+
+def _walk(cond, end, state, u, bits, pos):
+    """The per-bit rule bit_j = u_j < cond[state_j], one step at a time.
+
+    Writes the bit of every uniform in the list `u` to bits[pos:] and
+    returns the final state. A state is a leading 1 followed by the
+    conditioning symbols; once it holds depth symbols it keeps only the
+    last depth-1, so from step depth-1 on it lies in [end/2, end).
+    """
     top = end >> 1
     low = top - 1
-    bits = bytearray(length)
-    state = 1
-    for j, uj in enumerate(u.tolist()):
+    for j, uj in enumerate(u, pos):
         if uj < cond[state]:
             bits[j] = 1
             state = state << 1 | 1
         else:
+            bits[j] = 0
             state <<= 1
         if state >= end:
             state = top | state & low
-    return np.frombuffer(bits, dtype=np.uint8)
+    return state
+
+
+def _blocks(count, length, depth):
+    """(head, nb, steps) for `count` orbits of `length` bits at `depth`:
+    each orbit takes `head` steps while its state grows, then nb blocks
+    of `steps` steps (the last may be shorter), and count * nb is about
+    sqrt(2 * count * length)."""
+    head = min(length, depth - 1)
+    rest = length - head
+    if not rest:
+        return head, 0, 0
+    nb = max(1, min(rest, round(math.isqrt(2 * count * length) / count)))
+    steps = -(-rest // nb)
+    return head, -(-rest // steps), steps
+
+
+def _draw_bits(cond, guess, length, seeds):
+    """Orbit i driven by default_rng(seeds[i]).random(length), as row i
+    of a uint8 array; `guess` is the state each block after the first
+    assumes at its start (see :func:`sample_orbits`)."""
+    count = len(seeds)
+    end = cond.size
+    head, nb, steps = _blocks(count, length, end.bit_length() - 1)
+    rest = length - head
+    u = np.zeros((count, head + nb * steps))
+    for i, s in enumerate(seeds):
+        np.random.default_rng(s).random(out=u[i, :length])
+    if end == 2:    # depth 1: independent symbols
+        return (u[:, :length] < cond[1]).astype(np.uint8)
+    bits = bytearray(count * length)
+    out = np.frombuffer(bits, dtype=np.uint8).reshape(count, length)
+    condl = cond.tolist()
+    if count * nb < _MIN_LANES:
+        for i in range(count):
+            _walk(condl, end, 1, u[i, :length].tolist(), bits, i * length)
+        return out
+    # Vector pass: block b of orbit i is one lane, starting from the true
+    # state for b = 0 and from `guess` otherwise; states[t, i, b] is the
+    # lane's state after its step t, and the state's last bit is the bit.
+    state = np.full((count, nb), guess)
+    for i in range(count):
+        state[i, 0] = _walk(condl, end, 1, u[i, :head].tolist(), bits, i * length)
+    top = end >> 1
+    after_zero = np.arange(end) << 1 & top - 1 | top
+    blocks = u[:, head:].reshape(count, nb, steps)
+    states = np.empty((steps, count, nb), dtype=np.min_scalar_type(end - 1))
+    p_one = np.empty((count, nb))
+    one = np.empty_like(state)
+    nxt = np.empty_like(state)
+    for t in range(steps):
+        cond.take(state, out=p_one, mode="clip")
+        np.less(blocks[:, :, t], p_one, out=one)
+        after_zero.take(state, out=nxt, mode="clip")
+        np.bitwise_or(nxt, one, out=nxt)
+        state, nxt = nxt, state
+        states[t] = state
+    lanes = states.transpose(1, 2, 0).reshape(count, nb * steps)
+    np.bitwise_and(lanes[:, :rest], 1, out=out[:, head:])
+    # Repair: a block whose true start state (the end of the block before
+    # it) is not the guess is re-run by the scalar rule from the true
+    # state until that chain meets the lane's; they agree from there on.
+    sizes = [min(steps, rest - b * steps) for b in range(nb)]
+    final = states[np.array(sizes) - 1, :, np.arange(nb)].T.tolist()
+    for i in range(count):
+        state = final[i][0]
+        for b in range(1, nb):
+            if state == guess:
+                state = final[i][b]
+                continue
+            pos = head + b * steps
+            t, k = 0, _REPAIR_STEPS
+            while t < sizes[b]:
+                k = min(k, sizes[b] - t)
+                state = _walk(condl, end, state, u[i, pos + t:pos + t + k].tolist(),
+                              bits, i * length + pos + t)
+                t += k
+                if state == states.item(t - 1, i, b):
+                    state = final[i][b]
+                    break
+                k *= 2
+    return out
 
 
 def sample_orbit(table, length, seed):
@@ -458,9 +550,21 @@ def sample_orbits(table, length, count, seed):
 
     The first depth symbols use the successive table conditionals
     p_{we}/p_w; later symbols follow the order-(depth-1) Markov
-    extension. Deterministic given (table, length, count, seed), and
-    sample i does not depend on the others, so batches may be
-    parallelized.
+    extension. Bit j of sample i is u_j < P(1 | its state), with
+    u = default_rng(seed ^ i).random(length), so the output is
+    deterministic and sample i does not depend on the others.
+
+    The orbits are drawn together, in batches of about a million bits
+    that bound the memory used. Past its first depth-1 steps each orbit
+    is cut into blocks, and numpy runs every block of every orbit as one
+    lane, a step at a time; a block after the first starts from a
+    guess, the likeliest state. Then, block by block, a block whose true
+    start state differs from the guess is re-run one bit at a time until
+    its state meets the lane's, after which the two chains agree. The
+    bits are those of the per-bit rule, byte for byte; a chain that
+    never meets, such as a periodic orbit's, costs the per-bit loop plus
+    the vector pass. About sqrt(2 * bits) lanes balance the two passes,
+    and small draws take the per-bit loop alone.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -470,12 +574,15 @@ def sample_orbits(table, length, count, seed):
     if not report.ok:
         raise ValueError(f"invalid table: {report.describe()}")
     cond = _conditionals(table)
+    guess = (1 << (table.depth - 1)) + int(np.argmax(table._levels[-2].astype(float)))
     source = f"table(depth={table.depth}, mode={table.mode})"
+    seeds = [int(seed) ^ i for i in range(count)]
+    per_batch = max(1, _BATCH_BITS // length)
     out = []
-    for i in range(count):
-        s = int(seed) ^ i
-        out.append(OrbitSample(bits=_draw_bits(cond, length, s),
-                               seed=s, source=source))
+    for lo in range(0, count, per_batch):
+        batch = seeds[lo:lo + per_batch]
+        out.extend(OrbitSample(bits=bits, seed=s, source=source)
+                   for s, bits in zip(batch, _draw_bits(cond, guess, length, batch)))
     return out
 
 

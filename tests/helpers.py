@@ -101,17 +101,37 @@ def two_point_table(a, depth):
     return CylinderTable(levels)
 
 
-def period_two_table(depth):
-    """Orbit measure of the period-two point: mass 1/2 on each alternating word."""
-    half = Fraction(1, 2)
-    levels = [{"": Fraction(1)}]
-    for n in range(1, depth + 1):
-        level = {}
-        for w in all_words(n):
-            alternating = all(w[i] != w[i + 1] for i in range(n - 1))
-            level[w] = half if alternating else Fraction(0)
+def periodic_orbit_table(word, depth):
+    """Orbit measure of the periodic point word^infinity: mass k/p on a
+    cylinder that k of the p shifts of the point start with."""
+    p = len(word)
+    point = word * (depth // p + 2)
+    levels = []
+    for n in range(depth + 1):
+        level = dict.fromkeys(all_words(n), Fraction(0))
+        for k in range(p):
+            level[point[k:k + n]] += Fraction(1, p)
         levels.append(level)
     return CylinderTable(levels)
+
+
+def period_two_table(depth):
+    """Orbit measure of the period-two point: mass 1/2 on each alternating word."""
+    return periodic_orbit_table("01", depth)
+
+
+def reference_orbit(table, length, seed):
+    """Scalar reference sampler, read off the masses word by word: bit j
+    is u_j < p_{w1} / p_w, with u = default_rng(seed).random(length) and
+    w the last min(j, depth - 1) bits (0 when p_w is 0)."""
+    bits, one = "", {}
+    for j, uj in enumerate(np.random.default_rng(seed).random(length).tolist()):
+        w = bits[max(0, j - table.depth + 1):]
+        if w not in one:
+            parent = float(table.prob(w))
+            one[w] = float(table.prob(w + "1")) / parent if parent > 0 else 0.0
+        bits += "1" if uj < one[w] else "0"
+    return bits
 
 
 def product_mass(p, word):

@@ -13,6 +13,7 @@ from shiftmaxent import (bernoulli_table, load_table, table_from_json,
 from shiftmaxent.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+_TABLE = str(GOLDEN / "build_exact_d3.json")
 
 
 def test_check_feasible(capsys):
@@ -306,9 +307,16 @@ def _two_orbits(tmp_path):
     ["freq", "--words", "0", "--line", "-1", "--sample"],
     ["freq", "--words", "0", "--line", "-3", "--sample"],
     ["freq", "--words", "0", "--horizon", "3", "--targets", "2", "--sample"],
+    # a table file leaves nothing for the spec flags to do
+    ["sample", "--length", "4", "--table", _TABLE, "--a", "9/10"],
+    ["sample", "--length", "4", "--table", _TABLE, "--spec"],
+    ["sample", "--length", "4", "--table", _TABLE, "--geometric", "1/2"],
+    ["sample", "--length", "4", "--table", _TABLE, "--depth", "6"],
 ])
 def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
-    code = run(argv + [_two_orbits(tmp_path)])
+    if argv[-1].startswith("--"):   # the last flag names a file
+        argv = argv + [_two_orbits(tmp_path)]
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -10,9 +10,10 @@ from shiftmaxent import (CylinderTable, StructuralError, all_words,
                          sample_orbit, sample_orbits, table_from_json,
                          table_from_top_level, table_to_json, truncate_table,
                          validate)
+from shiftmaxent import measures
 from shiftmaxent.measures import MarkovMeasure, OrbitSample
 
-from helpers import product_mass
+from helpers import periodic_orbit_table, product_mass
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +264,22 @@ def test_sample_reproducible_and_seed_sensitive():
     s3 = sample_orbit(table, 4000, seed=124)
     assert np.array_equal(s1.bits, s2.bits)
     assert not np.array_equal(s1.bits, s3.bits)
+
+
+def test_sample_periodic_orbit_never_couples(monkeypatch):
+    # The worst case of the block speculation: chains in different phases
+    # of a periodic orbit never meet, so every block whose guessed start
+    # is wrong is re-run bit by bit.
+    walked = []
+    walk = measures._walk
+    monkeypatch.setattr(measures, "_walk",
+                        lambda *args: walked.append(len(args[3])) or walk(*args))
+    samples = sample_orbits(periodic_orbit_table("0011", 8), 12000, 20, seed=11)
+    assert max(walked) < 12000   # no orbit went through the per-bit loop alone
+    point = "0011" * 3001
+    lines = [s.to_line() for s in samples]
+    assert all(line in {point[k:k + 12000] for k in range(4)} for line in lines)
+    assert {line[:4] for line in lines} == {point[k:k + 4] for k in range(4)}
 
 
 def test_sample_batch_uses_xor_seeds():

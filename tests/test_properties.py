@@ -6,10 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftmaxent import (FrequencySpec, build_max_entropy_table,
-                         compare_with_closed_form, entropy_closed_form,
-                         entropy_ladder, table_from_json, table_to_json,
-                         validate)
+from helpers import periodic_orbit_table, reference_orbit
+from shiftmaxent import (FrequencySpec, bernoulli_table,
+                         build_max_entropy_table, compare_with_closed_form,
+                         entropy_closed_form, entropy_ladder,
+                         point_mass_table, sample_orbits, table_from_json,
+                         table_to_json, validate)
+from shiftmaxent.measures import _blocks
 
 
 @st.composite
@@ -67,3 +70,50 @@ def test_entropy_ladder_descends_to_closed_form(spec, depth):
     end = closed.support_end + 2
     last = entropy_ladder(build_max_entropy_table(spec, end))[-1][1]
     assert abs(last - closed.value) <= 1e-12
+
+
+@st.composite
+def sampled_tables(draw):
+    """A table of depth 1-10: zero-block (exact or float), Bernoulli,
+    point mass, or a periodic orbit, whose chains never couple."""
+    depth = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["zero-block", "bernoulli", "point", "periodic"]))
+    if kind == "zero-block":
+        return build_max_entropy_table(draw(feasible_specs()), depth)
+    if kind == "bernoulli":
+        p = Fraction(draw(st.integers(0, 64)), 64)
+        return bernoulli_table(p if draw(st.booleans()) else float(p), depth)
+    if kind == "point":
+        return point_mass_table(draw(st.sampled_from("01")), depth)
+    word = draw(st.sampled_from(["0011", "001", "01", "0001011"]))
+    return periodic_orbit_table(word, depth)
+
+
+@st.composite
+def orbit_shapes(draw, depth):
+    """(count, length) of up to 20,000 bits: a length up to the depth,
+    any length, a long one (which the sampler splits into blocks), or a
+    long one on or next to the end of a block."""
+    count = draw(st.integers(1, 30))
+    where = draw(st.sampled_from(["short", "any", "long", "block-end"]))
+    if where == "short":
+        return count, draw(st.integers(1, depth))
+    if where == "any":
+        return count, draw(st.integers(1, 20000 // count))
+    length = draw(st.integers(6000 // count, 20000 // count))
+    if where == "block-end":
+        head, nb, steps = _blocks(count, length, depth)
+        length = head + nb * steps + draw(st.integers(-1, 1))
+    return count, length
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sample_orbits_match_reference(data):
+    table = data.draw(sampled_tables())
+    count, length = data.draw(orbit_shapes(table.depth))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    samples = sample_orbits(table, length, count, seed)
+    assert [s.seed for s in samples] == [seed ^ i for i in range(count)]
+    assert [s.to_line() for s in samples] == [
+        reference_orbit(table, length, seed ^ i) for i in range(count)]
