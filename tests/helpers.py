@@ -140,3 +140,104 @@ def product_mass(p, word):
     for ch in word:
         mass *= p if ch == "0" else 1 - p
     return mass
+
+
+def planted_markov_masses(rng, depth):
+    """Top-level masses at `depth` (word w at index int(w, 2)) of a random
+    stationary Markov measure of order 1 or 2. One time in four, one
+    transition is forbidden or forced, so that some words have mass 0."""
+    k = int(rng.integers(1, 3))
+    states = np.arange(1 << k)
+    ones = rng.uniform(0.05, 0.95, states.size)   # P(next bit 1 | last k bits)
+    if rng.random() < 0.25:
+        ones[rng.integers(states.size)] = float(rng.integers(2))
+    step = np.zeros((states.size, states.size))
+    successor = (states << 1) & (states.size - 1)
+    step[states, successor] = 1.0 - ones
+    step[states, successor | 1] = ones
+    system = np.vstack([step.T - np.eye(states.size), np.ones(states.size)])
+    rhs = np.zeros(states.size + 1)
+    rhs[-1] = 1.0
+    x = np.clip(np.linalg.lstsq(system, rhs, rcond=None)[0], 0.0, None)
+    for _ in range(k, depth):
+        last = ones[np.arange(x.size) & (states.size - 1)]
+        x = np.stack([x * (1.0 - last), x * last], axis=1).ravel()
+    return x
+
+
+def planted_constraint_sets(seed, count, depths):
+    """`count` (depth, constraints) pairs, each met by a random Markov
+    measure (planted_markov_masses): one to three words of length at most
+    min(depth, 4), each pinned to its mass or held in an interval of
+    width up to 0.1 around it. Constraints are (word, lo, hi) triples."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        depth = int(depths[i % len(depths)])
+        x = planted_markov_masses(rng, depth)
+        words = [w for n in range(1, min(depth, 4) + 1) for w in all_words(n)]
+        chosen = rng.choice(len(words), size=int(rng.integers(1, 4)),
+                            replace=False)
+        constraints = []
+        for j in sorted(chosen):
+            word = words[j]
+            gap = depth - len(word)
+            mass = float(x[int(word, 2) << gap:(int(word, 2) + 1) << gap].sum())
+            if rng.random() < 0.5:
+                constraints.append((word, mass, mass))
+            else:
+                lo, hi = rng.uniform(0.0, 0.05, size=2)
+                constraints.append((word, max(0.0, mass - float(lo)),
+                                    min(1.0, mass + float(hi))))
+        cases.append((depth, constraints))
+    return cases
+
+
+def solve_answer_cases():
+    """Inputs of tests/golden/solve_answers.json: 60 planted sets at depths
+    4-8, acceptance criterion 04's compare specs at depths 3-8, and the
+    two optimize reproducers of perfbench/NOTES.md."""
+    cases = [{"name": f"planted-{i}", "depth": depth,
+              "constraints": [{"word": w, "lo": lo, "hi": hi}
+                              for w, lo, hi in constraints]}
+             for i, (depth, constraints) in enumerate(
+                 planted_constraint_sets(2024, 60, range(4, 9)))]
+    specs = [FrequencySpec.geometric(Fraction(1, 2), terms=8),
+             FrequencySpec(prefix=(Fraction(1, 10),)),
+             FrequencySpec(prefix=(Fraction(1, 2),)),
+             FrequencySpec(prefix=(Fraction(9, 10),)),
+             FrequencySpec(prefix=(Fraction(1, 2), Fraction(0)))]
+    cases += [{"name": f"compare-{i}", "depth": depth, "spec": spec.to_json()}
+              for i, spec in enumerate(specs) for depth in range(3, 9)]
+    cases.append({"name": "notes-equality-depth-8", "depth": 8, "constraints": [
+        {"word": "01", "lo": "231/680", "hi": "231/680"}]})
+    cases.append({"name": "notes-three-intervals", "depth": 4, "constraints": [
+        {"word": "0", "lo": "68933/97000", "hi": "1847/2425"},
+        {"word": "01", "lo": "17057/97000", "hi": "19191/97000"},
+        {"word": "00", "lo": "12387/24250", "hi": "52167/97000"}]})
+    return cases
+
+
+def solve_answer(case):
+    """(status, objective) of solve, or of compare_with_closed_form for a
+    case with a spec."""
+    from shiftmaxent import ConstraintSet, compare_with_closed_form, solve
+    if "spec" in case:
+        result = compare_with_closed_form(
+            FrequencySpec.from_json(case["spec"]), case["depth"]).result
+    else:
+        result = solve(case["depth"],
+                       ConstraintSet.from_json(case["constraints"]))
+    return result.status, result.objective
+
+
+if __name__ == "__main__":
+    # Rewrites the golden answers from the solver on the path, for example
+    # PYTHONPATH=src python tests/helpers.py tests/golden/solve_answers.json
+    import json
+    import sys
+    answers = [dict(case, **dict(zip(("status", "objective"),
+                                     solve_answer(case))))
+               for case in solve_answer_cases()]
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join(map(json.dumps, answers)) + "\n]\n")

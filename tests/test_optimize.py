@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from shiftmaxent import (Constraint, ConstraintError, ConstraintSet,
                          max_abs_deviation, solve, validate)
 from shiftmaxent.zeroblock import extend_spec
 
-from helpers import random_feasible_spec
+from helpers import random_feasible_spec, solve_answer
 
 
 def _entropy4(t, u, v, w):
@@ -356,6 +358,18 @@ def test_solve_mixture_without_unique_optimum():
     result = solve(3, cset)
     _assert_optimal(result, cset)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_same_answers_as_golden():
+    # statuses and objectives recorded with the dense-KKT barrier solver
+    # (tests/helpers.py writes them); any rewrite of the solver must
+    # reproduce them
+    path = Path(__file__).parent / "golden" / "solve_answers.json"
+    for case in json.loads(path.read_text()):
+        status, objective = solve_answer(case)
+        assert status == case["status"], case["name"]
+        assert objective == pytest.approx(case["objective"], abs=1e-9), \
+            case["name"]
 
 
 # ---------------------------------------------------------------------------
