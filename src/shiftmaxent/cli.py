@@ -42,19 +42,25 @@ def _add_spec_flags(p):
     p.add_argument("--a", help="comma-separated target frequencies, e.g. 1/2,1/4")
     p.add_argument("--spec", help="JSON spec file {\"a\": [...], \"tail\": ...}")
     p.add_argument("--geometric", help="ratio r for a_k = r^k")
-    p.add_argument("--terms", type=int, default=64,
+    p.add_argument("--terms", type=int,
                    help="prefix length for --geometric (default 64)")
-    p.add_argument("--tail", choices=["constant", "affine"], default="constant")
+    p.add_argument("--tail", choices=["constant", "affine"],
+                   help="tail policy for --a (default constant)")
 
 
 def _spec_from_args(args):
     given = [x for x in (args.a, args.spec, args.geometric) if x is not None]
     if len(given) != 1:
         raise _UsageError("give exactly one of --a, --spec, --geometric")
+    if args.tail is not None and args.a is None:
+        raise _UsageError("--tail applies only to --a")
+    if args.terms is not None and args.geometric is None:
+        raise _UsageError("--terms applies only to --geometric")
     if args.a is not None:
-        return FrequencySpec.parse(args.a, tail=args.tail)
+        return FrequencySpec.parse(args.a, tail=args.tail or "constant")
     if args.geometric is not None:
-        return FrequencySpec.geometric(args.geometric, terms=args.terms)
+        return FrequencySpec.geometric(
+            args.geometric, terms=64 if args.terms is None else args.terms)
     with open(args.spec, "r", encoding="utf-8") as fh:
         return FrequencySpec.from_json(json.load(fh))
 
@@ -145,7 +151,8 @@ def cmd_sample(args):
     if args.table is not None:
         spec_flags = [flag for flag, value in (
             ("--a", args.a), ("--spec", args.spec),
-            ("--geometric", args.geometric), ("--depth", args.depth))
+            ("--geometric", args.geometric), ("--tail", args.tail),
+            ("--terms", args.terms), ("--depth", args.depth))
             if value is not None]
         if spec_flags:
             raise _UsageError(

@@ -1,10 +1,12 @@
-"""Shared test utilities: random feasible specs and independent oracles."""
+"""Shared test utilities: random feasible specs and constraint sets, and
+independent oracles."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from shiftmaxent import CylinderTable, FrequencySpec, all_words
+from shiftmaxent import (ConstraintSet, CylinderTable, FrequencySpec,
+                         all_words, compare_with_closed_form, solve)
 
 
 def random_feasible_spec(rng, max_terms=5, denom_pow=6):
@@ -221,7 +223,6 @@ def solve_answer_cases():
 def solve_answer(case):
     """(status, objective) of solve, or of compare_with_closed_form for a
     case with a spec."""
-    from shiftmaxent import ConstraintSet, compare_with_closed_form, solve
     if "spec" in case:
         result = compare_with_closed_form(
             FrequencySpec.from_json(case["spec"]), case["depth"]).result
@@ -236,8 +237,9 @@ if __name__ == "__main__":
     # PYTHONPATH=src python tests/helpers.py tests/golden/solve_answers.json
     import json
     import sys
-    answers = [dict(case, **dict(zip(("status", "objective"),
-                                     solve_answer(case))))
-               for case in solve_answer_cases()]
+    answers = []
+    for case in solve_answer_cases():
+        status, objective = solve_answer(case)
+        answers.append(dict(case, status=status, objective=objective))
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join(map(json.dumps, answers)) + "\n]\n")

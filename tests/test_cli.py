@@ -312,9 +312,19 @@ def _two_orbits(tmp_path):
     ["sample", "--length", "4", "--table", _TABLE, "--spec"],
     ["sample", "--length", "4", "--table", _TABLE, "--geometric", "1/2"],
     ["sample", "--length", "4", "--table", _TABLE, "--depth", "6"],
+    ["sample", "--length", "4", "--table", _TABLE, "--tail", "affine"],
+    ["sample", "--length", "4", "--table", _TABLE, "--terms", "9"],
+    # --tail shapes only --a, and --terms only --geometric
+    ["check", "--tail", "affine", "--spec"],
+    ["check", "--a", "1/2,1/4", "--terms", "3"],
+    ["check", "--geometric", "1/2", "--tail", "affine"],
 ])
 def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
-    if argv[-1].startswith("--"):   # the last flag names a file
+    if argv[-1] == "--spec":
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"a": ["1/2", "1/4"]}))
+        argv = argv + [str(spec_file)]
+    elif argv[-1].startswith("--"):   # the last flag names a file
         argv = argv + [_two_orbits(tmp_path)]
     code = run(argv)
     captured = capsys.readouterr()

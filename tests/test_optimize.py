@@ -319,14 +319,16 @@ def test_solve_equality_at_depth_8_matches_depth_2():
     assert result.objective == pytest.approx(solve(2, cset).objective, abs=1e-9)
 
 
+_THREE_INTERVALS = ConstraintSet.from_json([
+    {"word": "0", "lo": "68933/97000", "hi": "1847/2425"},
+    {"word": "01", "lo": "17057/97000", "hi": "19191/97000"},
+    {"word": "00", "lo": "12387/24250", "hi": "52167/97000"}])
+
+
 def test_solve_dependent_intervals():
     # mu[0] = mu[00] + mu[01] once invariance holds; this set ended
     # max_iter at a point violating the intervals on 0 and 01
-    cset = ConstraintSet.from_json([
-        {"word": "0", "lo": "68933/97000", "hi": "1847/2425"},
-        {"word": "01", "lo": "17057/97000", "hi": "19191/97000"},
-        {"word": "00", "lo": "12387/24250", "hi": "52167/97000"}])
-    _assert_optimal(solve(4, cset), cset)
+    _assert_optimal(solve(4, _THREE_INTERVALS), _THREE_INTERVALS)
 
 
 def test_compare_float_spec_at_depth_8():
@@ -358,6 +360,34 @@ def test_solve_mixture_without_unique_optimum():
     result = solve(3, cset)
     _assert_optimal(result, cset)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("depth, cset", [
+    (2, ConstraintSet((Constraint("0", 0.2, 0.3),))),
+    (4, _THREE_INTERVALS),
+    (4, ConstraintSet.equalities({"0111": 0.0})),
+], ids=["active-slack", "three-intervals", "dead-chain"])
+def test_vanishing_coordinates_take_few_steps(depth, cset):
+    # coordinates that vanish like mu cost about 9 Newton steps per
+    # barrier stage (105-108 in all) unless each stage starts with a
+    # tangent step
+    result = solve(depth, cset)
+    _assert_optimal(result, cset)
+    assert result.iterations <= 60
+
+
+@pytest.mark.parametrize("depth, dependent, independent", [
+    (3, {"01": .2, "10": .2}, {"01": .2}),
+    (3, {"0": .5, "00": .3, "01": .2}, {"0": .5, "00": .3}),
+    (2, {"0": .3, "1": .7}, {"0": .3}),
+    (6, {"0": .4, "1": .6, "01": .2, "10": .2}, {"0": .4, "01": .2}),
+], ids=["01-10", "0-00-01", "0-1", "0-1-01-10"])
+def test_dependent_equalities(depth, dependent, independent):
+    # rows implied by the others and invariance fall to the rank cut
+    result = solve(depth, dependent)
+    _assert_optimal(result, ConstraintSet.equalities(dependent))
+    assert result.objective == pytest.approx(
+        solve(depth, independent).objective, abs=1e-9)
 
 
 def test_same_answers_as_golden():
