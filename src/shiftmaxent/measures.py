@@ -6,18 +6,24 @@ the cylinder [w]. A table extends to an invariant Borel probability
 measure iff it is normalized (p_empty = 1), consistent
 (p_{w0} + p_{w1} = p_w) and shift-invariant (p_{0w} + p_{1w} = p_w).
 
-Level n is one read-only numpy array of length 2^n that holds p_w at
-index int(w, 2). The children w0, w1 of index i sit at 2i and 2i+1, and
-the words 0w, 1w at i and 2^n + i, so the laws above are slice sums.
-Word strings appear only at the edges: the mappings accepted by
-:class:`CylinderTable`, :meth:`CylinderTable.prob`,
-:meth:`CylinderTable.level` and :attr:`Violation.word`.
+Level n is one read-only numpy array N_n of length 2^n over one integer
+denominator D_n: p_w = N_n[int(w, 2)] / D_n. The children w0, w1 of
+index i sit at 2i and 2i+1, and the words 0w, 1w at i and 2^n + i, so
+the laws above are slice sums. Word strings appear only at the edges:
+the mappings accepted by :class:`CylinderTable`, :meth:`CylinderTable.prob`,
+:meth:`CylinderTable.level`, the `pinned` words of :func:`markov_step`
+and :attr:`Violation.word`.
 
-Tables come in two arithmetic modes. "exact" tables hold
-:class:`fractions.Fraction` entries in object arrays and are checked
-with tolerance 0; "float" tables hold float64 and are checked with a
-small tolerance. Every mass is finite. Tables are immutable after
-construction and safe to share across threads.
+Tables come in two arithmetic modes. An "exact" level holds Python-int
+numerators in an object array, and D_n is the least common denominator
+of its masses, so equal tables have equal arrays; exact tables are
+checked in integers with tolerance 0, and :meth:`CylinderTable.prob`
+and :meth:`CylinderTable.level` give :class:`fractions.Fraction`
+masses. A "float" level holds float64 masses with D_n = 1 and is
+checked with a small tolerance. Float values of an exact level are
+N_n / D_n, correctly rounded as ``float(Fraction)`` is. Every mass is
+finite. Tables are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -60,9 +66,34 @@ def _infer_mode(levels):
     return EXACT if all(map(_is_exact, values)) else FLOAT
 
 
+def _over_lcd(masses):
+    """(numerators, D) of a sequence of rationals, D their least common
+    denominator."""
+    fractions = [p if type(p) is Fraction else Fraction(p) for p in masses]
+    # A level read from JSON shares one object per distinct mass, so each
+    # object's ratio is read and scaled once.
+    ratio = {id(f): f for f in fractions}
+    for key, f in ratio.items():
+        ratio[key] = int(f.numerator), int(f.denominator)
+    den = math.lcm(*{d for _, d in ratio.values()})
+    for key, (p, d) in ratio.items():
+        ratio[key] = p * (den // d)
+    nums = np.empty(len(fractions), dtype=object)
+    nums[:] = [ratio[id(f)] for f in fractions]
+    return nums, den
+
+
+def _reduced(nums, den):
+    """nums / den over the least common denominator of its values."""
+    if den == 1:
+        return nums, den
+    g = math.gcd(den, *nums.tolist())
+    return (nums // g, den // g) if g > 1 else (nums, den)
+
+
 def _as_level(n, level, mode):
-    """Level n as a read-only array in index order, from a word mapping
-    or a sequence of 2^n masses; every mass must be finite."""
+    """Level n as (array in index order, denominator), from a word
+    mapping or a sequence of 2^n masses; every mass must be finite."""
     if isinstance(level, Mapping):
         values = [None] * (1 << n)
         for word, p in level.items():
@@ -78,10 +109,9 @@ def _as_level(n, level, mode):
         raise StructuralError(f"level {n} needs {1 << n} masses, got {len(level)}")
     try:
         if mode == EXACT:
-            arr = np.empty(len(level), dtype=object)
-            arr[:] = [p if type(p) is Fraction else Fraction(p) for p in level]
+            arr, den = _over_lcd(level)
         else:
-            arr = np.array(level, dtype=float)
+            arr, den = np.array(level, dtype=float), 1
     except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(f"bad mass at level {n}: {exc}") from None
     if arr.shape != (1 << n,):
@@ -89,8 +119,7 @@ def _as_level(n, level, mode):
     if mode == FLOAT and not np.isfinite(arr).all():
         i = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise StructuralError(f"non-finite mass {arr[i]} at {_word(i, n)!r}")
-    arr.flags.writeable = False
-    return arr
+    return arr, den
 
 
 class CylinderTable:
@@ -108,19 +137,31 @@ class CylinderTable:
         A missing word or a non-finite mass raises StructuralError.
     """
 
-    __slots__ = ("_levels", "_mode")
+    __slots__ = ("_levels", "_dens", "_mode")
 
     def __init__(self, levels, mode=None):
         levels = list(levels)
-        if len(levels) < 2:
-            raise StructuralError("a table needs levels 0..N with N >= 1")
         if mode is None:
             mode = _infer_mode(levels)
         elif mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown arithmetic mode {mode!r}")
-        self._levels = tuple(_as_level(n, level, mode)
-                             for n, level in enumerate(levels))
-        self._mode = mode
+        pairs = [_as_level(n, level, mode) for n, level in enumerate(levels)]
+        self._set([arr for arr, _ in pairs], [den for _, den in pairs], mode)
+
+    @classmethod
+    def _of(cls, levels, dens, mode):
+        """Table over ready levels (numerators or float64 masses) and
+        their denominators, in the representation described above."""
+        table = cls.__new__(cls)
+        table._set(levels, dens, mode)
+        return table
+
+    def _set(self, levels, dens, mode):
+        if len(levels) < 2:
+            raise StructuralError("a table needs levels 0..N with N >= 1")
+        for level in levels:
+            level.flags.writeable = False
+        self._levels, self._dens, self._mode = tuple(levels), tuple(dens), mode
 
     @property
     def depth(self):
@@ -130,25 +171,34 @@ class CylinderTable:
     def mode(self):
         return self._mode
 
+    def _floats(self, n):
+        """Level n as float64 masses, N_n / D_n correctly rounded."""
+        return np.asarray(self._levels[n] / self._dens[n], dtype=float)
+
     def prob(self, word):
         """Mass of the cylinder [word]."""
         check_word(word)
         if len(word) > self.depth:
             raise StructuralError(
                 f"word {word!r} is deeper than the table (depth {self.depth})")
-        return self._levels[len(word)].item(_index(word))
+        n = len(word)
+        p = self._levels[n].item(_index(word))
+        return p if self._mode == FLOAT else Fraction(p, self._dens[n])
 
     def level(self, n):
         """Copy of the level-n mapping (word -> mass)."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} out of range 0..{self.depth}")
-        return dict(zip(all_words(n), self._levels[n].tolist()))
+        masses = self._levels[n].tolist()
+        if self._mode == EXACT:
+            masses = [Fraction(p, self._dens[n]) for p in masses]
+        return dict(zip(all_words(n), masses))
 
     def __eq__(self, other):
         if not isinstance(other, CylinderTable):
             return NotImplemented
         return (self._mode == other._mode
-                and len(self._levels) == len(other._levels)
+                and self._dens == other._dens
                 and all(np.array_equal(a, b)
                         for a, b in zip(self._levels, other._levels)))
 
@@ -160,18 +210,21 @@ def bernoulli_table(p, depth):
     """Product (Bernoulli) measure with mass p on digit 0, to `depth`."""
     if _is_exact(p) or isinstance(p, str):
         p = Fraction(p)
-        one = Fraction(1)
     else:
         p = float(p)
-        one = 1.0
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    dtype = object if isinstance(p, Fraction) else float
-    digit = np.array([p, one - p], dtype=dtype)
-    levels = [np.array([one], dtype=dtype)]
+    if isinstance(p, Fraction):
+        # p = a/b in lowest terms: every nonzero mass a^k (b-a)^(n-k) / b^n
+        # is too, so b^n is the least common denominator of level n.
+        mode, den, digit = EXACT, p.denominator, [p.numerator, p.denominator - p.numerator]
+    else:
+        mode, den, digit = FLOAT, 1, [p, 1.0 - p]
+    digit = np.array(digit, dtype=object if mode == EXACT else float)
+    levels = [np.ones(1, dtype=digit.dtype)]
     for _ in range(depth):
         levels.append(np.multiply.outer(levels[-1], digit).ravel())
-    return CylinderTable(levels)
+    return CylinderTable._of(levels, [den ** n for n in range(depth + 1)], mode)
 
 
 def point_mass_table(digit, depth):
@@ -181,10 +234,10 @@ def point_mass_table(digit, depth):
         raise ValueError("digit must be 0 or 1")
     levels = []
     for n in range(depth + 1):
-        level = np.full(1 << n, Fraction(0), dtype=object)
-        level[0 if digit == "0" else -1] = Fraction(1)
+        level = np.zeros(1 << n, dtype=object)
+        level[0 if digit == "0" else -1] = 1
         levels.append(level)
-    return CylinderTable(levels)
+    return CylinderTable._of(levels, [1] * (depth + 1), EXACT)
 
 
 def table_from_top_level(top, mode=None):
@@ -204,22 +257,26 @@ def table_from_top_level(top, mode=None):
     if mode is None:
         mode = _infer_mode([top])
     stack = [_as_level(depth, top, mode)]
-    while stack[-1].size > 1:
-        stack.append(stack[-1][0::2] + stack[-1][1::2])
-    return CylinderTable(stack[::-1], mode=mode)
+    while stack[-1][0].size > 1:
+        level, den = stack[-1]
+        stack.append(_reduced(level[0::2] + level[1::2], den))
+    stack.reverse()
+    return CylinderTable._of([level for level, _ in stack],
+                             [den for _, den in stack], mode)
 
 
 def truncate_table(table, depth):
     """Restriction of `table` to the given smaller (or equal) depth."""
     if not 1 <= depth <= table.depth:
         raise ValueError(f"depth {depth} out of range 1..{table.depth}")
-    return CylinderTable(table._levels[:depth + 1], mode=table.mode)
+    return CylinderTable._of(table._levels[:depth + 1], table._dens[:depth + 1],
+                             table.mode)
 
 
 def max_abs_deviation(table_a, table_b):
     """Largest |p_w(a) - p_w(b)| over all levels both tables share."""
-    return max(float(np.abs(a.astype(float) - b.astype(float)).max())
-               for a, b in zip(table_a._levels, table_b._levels))
+    return max(float(np.abs(table_a._floats(n) - table_b._floats(n)).max())
+               for n in range(min(table_a.depth, table_b.depth) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +304,59 @@ class ValidationReport:
                 f"at {worst.word!r} residual {worst.residual:.3g}")
 
 
+def _ratios(diffs, den):
+    """diffs / den elementwise: Fractions for exact (object) arrays,
+    floats for float arrays (den is then 1)."""
+    if diffs.dtype != object:
+        return diffs / den
+    out = np.empty(diffs.size, dtype=object)
+    out[:] = [Fraction(d, den) for d in diffs.tolist()]
+    return out
+
+
 def validate(table, tolerance=None):
     """Check normalization, consistency, invariance and 0 <= p_w <= 1.
 
     Numeric violations are collected in the report. `tolerance`
     defaults to 0 for exact tables and to ``FLOAT_TOLERANCE`` for float
-    tables.
+    tables. Exact laws are compared in integers, and a residual is
+    formed as a Fraction only where the two sides differ.
     """
     if tolerance is None:
         tolerance = 0 if table.mode == EXACT else FLOAT_TOLERANCE
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    levels = table._levels
+    levels, dens = table._levels, table._dens
     violations = []
 
     def check(kind, word, residual):
         if residual > tolerance:
             violations.append(Violation(kind, word, float(residual)))
 
-    check("normalization", "", abs(levels[0][0] - 1))
-    for n, level in enumerate(levels):
-        for i in np.flatnonzero((level < 0) | (level > 1)):
-            p = level[i]
-            check("range", _word(i, n), -p if p < 0 else p - 1)
+    check("normalization", "", _ratios(np.abs(levels[0] - dens[0]), dens[0])[0])
+    for n, (level, den) in enumerate(zip(levels, dens)):
+        bad = np.flatnonzero((level < 0) | (level > den))
+        over = np.where(level[bad] < 0, -level[bad], level[bad] - den)
+        for i, residual in zip(bad, _ratios(over, den)):
+            check("range", _word(i, n), residual)
     for n in range(table.depth):
         level, child = levels[n], levels[n + 1]
+        # p_w = N_n / D_n and the sums below are over D_(n+1). D_n divides
+        # D_(n+1) only if the table is consistent, so both sides go over
+        # the least common multiple.
+        g = math.gcd(dens[n], dens[n + 1])
+        up, down = dens[n] // g, dens[n + 1] // g
         right = child[0::2] + child[1::2]    # p_{w0} + p_{w1}
         left = child[:1 << n] + child[1 << n:]   # p_{0w} + p_{1w}
+        if up != 1:
+            right, left = right * up, left * up
+        if down != 1:
+            level = level * down
         # Residuals only where a sum differs: exact subtraction is slow.
         idx = np.flatnonzero((right != level) | (left != level))
-        consistency = np.abs(right[idx] - level[idx])
-        invariance = np.abs(left[idx] - level[idx])
+        common = up * dens[n + 1]
+        consistency = _ratios(np.abs(right[idx] - level[idx]), common)
+        invariance = _ratios(np.abs(left[idx] - level[idx]), common)
         for j in np.flatnonzero((consistency > tolerance) | (invariance > tolerance)):
             word = _word(idx[j], n)
             check("consistency", word, consistency[j])
@@ -316,31 +395,105 @@ def markov_from_table(table, order=None):
     return MarkovMeasure(order, truncate_table(table, order + 1))
 
 
+def _distinct(level):
+    """(codes, values): values lists the level's distinct entries in
+    order of appearance, and level[i] == values[codes[i]]."""
+    values = level.tolist()
+    ids = {p: i for i, p in enumerate(dict.fromkeys(values))}
+    return np.fromiter(map(ids.__getitem__, values), dtype=np.int64,
+                       count=len(values)), list(ids)
+
+
+def _exact_quotients(terms, pinned):
+    """(numerators, D) of the exact level whose cell i is p_x p_y / p_z,
+    or 0 where p_z is 0, with p_x = nx[ix[i]] / dx for the (nx, dx, ix)
+    of `terms` = [x, y, z]; `pinned` maps cells to Fractions that
+    replace the quotient. Each distinct (p_x, p_y, p_z) is divided out
+    once as a reduced fraction, and D is the lcm of their denominators."""
+    found = {}   # the zero-block build reads x and y from one level
+    codes, values = [], []
+    for level, _, index in terms:
+        if id(level) not in found:
+            found[id(level)] = _distinct(level)
+        code, value = found[id(level)]
+        codes.append(code[index])
+        values.append(value)
+    (cx, cy, cz), (vx, vy, vz) = codes, values
+    key = np.unique(cx * len(vy) + cy, return_inverse=True)[1] * len(vz) + cz
+    key[list(pinned)] = -1 - np.arange(len(pinned))
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    (_, dx, _), (_, dy, _), (_, dz, _) = terms
+    quotients = []
+    for i, x, y, z in zip(first.tolist(), cx[first].tolist(), cy[first].tolist(),
+                          cz[first].tolist()):
+        if i in pinned:
+            q = Fraction(pinned[i])
+            quotients.append((int(q.numerator), int(q.denominator)))
+            continue
+        num, den = vx[x] * vy[y] * dz, vz[z] * dx * dy
+        if not den:
+            quotients.append((0, 1))
+            continue
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        quotients.append((num // g, den // g))
+    den = math.lcm(*(d for _, d in quotients))
+    nums = np.empty(len(quotients), dtype=object)
+    nums[:] = [p * (den // d) for p, d in quotients]
+    return nums[cell], den
+
+
+def markov_step(table, memory, pinned=None):
+    """`table` one level deeper by the order-`memory` Markov rule.
+
+    The new level m = depth + 1 holds p_{ue} = p_u p_{ve} / p_v for each
+    word u of length m - 1 and symbol e, where v is the last `memory`
+    symbols of u (0 <= memory < m - 1), and 0 where p_u or p_v is 0.
+    `pinned` maps words of length m to masses that replace the rule.
+    An exact level evaluates each distinct quotient once and is put over
+    the least common denominator of its cells.
+    """
+    m = table.depth + 1
+    if not 0 <= memory < m - 1:
+        raise ValueError(f"memory {memory} out of range 0..{m - 2}")
+    pinned = dict(pinned or {})
+    for word in pinned:
+        check_word(word)
+        if len(word) != m:
+            raise StructuralError(f"pinned word {word!r} is not of length {m}")
+    pinned = {_index(word): p for word, p in pinned.items()}
+    u = np.arange(1 << m)
+    x = u >> 1                       # u
+    y = u & ((2 << memory) - 1)      # ve
+    z = x & ((1 << memory) - 1)      # v
+    terms = [(table._levels[n], table._dens[n], index)
+             for n, index in ((m - 1, x), (memory + 1, y), (memory, z))]
+    if table.mode == EXACT:
+        level, den = _exact_quotients(terms, pinned)
+    else:
+        px, py, pz = (level[index] for level, _, index in terms)
+        level = np.divide(px * py, pz, out=np.zeros(1 << m),
+                          where=(px != 0) & (pz != 0))
+        level[list(pinned)] = list(pinned.values())
+        level, den = _as_level(m, level, FLOAT)
+    return CylinderTable._of(table._levels + (level,), table._dens + (den,),
+                             table.mode)
+
+
 def markov_extend(measure, target_depth):
     """Extend a Markov measure to a table of the requested depth.
 
     For n > k+1 the conditional of the next symbol depends only on the
     last k symbols:  p_{x_1..x_n} = p_{x_1..x_{n-1}} *
     p_{x_{n-k}..x_n} / p_{x_{n-k}..x_{n-1}}, with zero children under a
-    zero denominator.
+    zero denominator (see :func:`markov_step`).
     """
     k = measure.order
-    base = measure.table
     if target_depth < k + 1:
         raise ValueError(f"target depth {target_depth} < order+1 = {k + 1}")
-    levels = list(base._levels)
-    lk, lk1 = base._levels[k], base._levels[k + 1]
-    zero = Fraction(0) if base.mode == EXACT else 0.0
-    for _ in range(k + 2, target_depth + 1):
-        prev = levels[-1]
-        suffix = np.arange(prev.size) & ((1 << k) - 1)
-        den = lk[suffix]
-        live = np.flatnonzero((prev != 0) & (den != 0))
-        level = np.full((prev.size, 2), zero, dtype=prev.dtype)
-        for e in (0, 1):
-            level[live, e] = prev[live] * lk1[2 * suffix[live] + e] / den[live]
-        levels.append(level.ravel())
-    return CylinderTable(levels, mode=base.mode)
+    table = measure.table
+    while table.depth < target_depth:
+        table = markov_step(table, k)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +508,8 @@ def conditional_entropy(table, n):
     """
     if not 2 <= n <= table.depth:
         raise ValueError(f"n={n} out of range 2..{table.depth}")
-    parents = np.repeat(table._levels[n - 1].astype(float), 2)
-    children = table._levels[n].astype(float)
+    parents = np.repeat(table._floats(n - 1), 2)
+    children = table._floats(n)
     live = (parents > 0.0) & (children > 0.0)
     pw, pc = parents[live], children[live]
     return float(np.sum(pc * (np.log(pw) - np.log(pc))))
@@ -419,8 +572,9 @@ def _conditionals(table):
     is unused. Every step from the depth-th on conditions on its last
     depth-1 symbols (the Markov extension).
     """
-    parents = np.concatenate(table._levels[:-1]).astype(float)
-    ones = np.concatenate([level[1::2] for level in table._levels[1:]]).astype(float)
+    levels = [table._floats(n) for n in range(table.depth + 1)]
+    parents = np.concatenate(levels[:-1])
+    ones = np.concatenate([level[1::2] for level in levels[1:]])
     cond = np.zeros(parents.size + 1)
     live = parents > 0.0
     cond[1:][live] = np.clip(ones[live] / parents[live], 0.0, 1.0)
@@ -574,7 +728,7 @@ def sample_orbits(table, length, count, seed):
     if not report.ok:
         raise ValueError(f"invalid table: {report.describe()}")
     cond = _conditionals(table)
-    guess = (1 << (table.depth - 1)) + int(np.argmax(table._levels[-2].astype(float)))
+    guess = (1 << (table.depth - 1)) + int(np.argmax(table._floats(table.depth - 1)))
     source = f"table(depth={table.depth}, mode={table.mode})"
     seeds = [int(seed) ^ i for i in range(count)]
     per_batch = max(1, _BATCH_BITS // length)
@@ -590,11 +744,19 @@ def sample_orbits(table, length, count, seed):
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _fraction_texts(nums, den):
+    """str(Fraction(p, den)) for each numerator p, each distinct p
+    reduced by its gcd with den once."""
+    values = nums.tolist()
+    text = {p: str(Fraction(p, den)) for p in set(values)}
+    return [text[p] for p in values]
+
+
 def table_to_json(table):
     """JSON object for a table; exact masses become "num/den" strings."""
     exact = table.mode == EXACT
-    levels = [{"n": n, "probs": [str(p) for p in level] if exact else level.tolist()}
-              for n, level in enumerate(table._levels)]
+    levels = [{"n": n, "probs": _fraction_texts(level, den) if exact else level.tolist()}
+              for n, (level, den) in enumerate(zip(table._levels, table._dens))]
     return {"depth": table.depth, "mode": table.mode, "levels": levels}
 
 
@@ -622,7 +784,9 @@ def table_from_json(obj):
             if _json_int(entry["n"], "n") != n:
                 raise ValueError(f"levels out of order at index {n}")
             if mode == EXACT:
-                levels.append([Fraction(str(p)) for p in entry["probs"]])
+                texts = [str(p) for p in entry["probs"]]
+                parsed = {text: Fraction(text) for text in dict.fromkeys(texts)}
+                levels.append([parsed[text] for text in texts])
             else:
                 levels.append([float(p) for p in entry["probs"]])
     except (KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:

@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InfeasibleSpecError
-from .measures import EXACT, FLOAT, CylinderTable
+from .measures import EXACT, FLOAT, CylinderTable, markov_step
 
 TAIL_CONSTANT = "constant"
 TAIL_AFFINE = "affine"
@@ -208,6 +206,11 @@ def boundary_values(a, n):
     if len(a) < n + 3:
         raise ValueError(f"sequence too short: need a_0..a_{n + 2}")
     _require_feasible(a, n + 2)
+    return _stem(a, n)
+
+
+def _stem(a, n):
+    """boundary_values without the feasibility check."""
     mid = a[n + 1] - a[n + 2]
     return (a[n + 2], mid, mid, a[n] - 2 * a[n + 1] + a[n + 2])
 
@@ -215,28 +218,24 @@ def boundary_values(a, n):
 def build_max_entropy_table(spec, depth):
     """Cylinder table of the unique maximal-entropy measure, to `depth`.
 
-    Exact (Fraction) arithmetic when the spec is exact; satisfies
-    p_{0^k} = a_k for every k <= depth.
+    Exact arithmetic when the spec is exact (each level's cells are
+    put over their least common denominator); satisfies p_{0^k} = a_k
+    for every k <= depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a = extend_spec(spec, max(len(spec.prefix), depth))
     _require_feasible(a, depth)
     one = Fraction(1) if spec.exact else 1.0
-    dtype = object if spec.exact else float
-    levels = [np.array([one], dtype=dtype), np.array([a[1], one - a[1]], dtype=dtype)]
+    table = CylinderTable([[one], [a[1], one - a[1]]],
+                          mode=EXACT if spec.exact else FLOAT)
     for m in range(2, depth + 1):
-        prev, grand = levels[m - 1], levels[m - 2]
-        u = np.arange(1 << m)
-        ew, we = u >> 1, u & ((1 << (m - 1)) - 1)   # words u[:-1] and u[1:]
-        den = grand[ew & ((1 << (m - 2)) - 1)]       # the middle word u[1:-1]
-        live = np.flatnonzero(den != 0)
-        level = np.full(1 << m, one - one, dtype=dtype)
-        level[live] = prev[ew[live]] * prev[we[live]] / den[live]
-        half = 1 << (m - 1)   # stem cells 00^n0, 00^n1, 10^n0, 10^n1
-        level[[0, 1, half, half + 1]] = boundary_values(a, m - 2)
-        levels.append(level)
-    return CylinderTable(levels, mode=EXACT if spec.exact else FLOAT)
+        # p_{ewe'} = p_{ew} p_{we'} / p_w off the stem cells 00^n0, 00^n1,
+        # 10^n0 and 10^n1 (n = m - 2), which are pinned; the sequence was
+        # checked through a_depth above.
+        stem = ("0" * m, "0" * (m - 1) + "1", "1" + "0" * (m - 1), "1" + "0" * (m - 2) + "1")
+        table = markov_step(table, m - 2, dict(zip(stem, _stem(a, m - 2))))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,30 @@ def reference_orbit(table, length, seed):
     return bits
 
 
+def reference_validate(table, tolerance=0):
+    """Plain-Fraction validator: the (kind, word, residual) violations
+    that validate reports, in its order, read off table.level word by
+    word; residuals are exact Fractions."""
+    levels = [table.level(n) for n in range(table.depth + 1)]
+    violations = []
+
+    def check(kind, word, residual):
+        if residual > tolerance:
+            violations.append((kind, word, residual))
+
+    check("normalization", "", abs(levels[0][""] - 1))
+    for n, level in enumerate(levels):
+        for w in all_words(n):
+            if not 0 <= level[w] <= 1:
+                check("range", w, -level[w] if level[w] < 0 else level[w] - 1)
+    for n in range(table.depth):
+        child = levels[n + 1]
+        for w in all_words(n):
+            check("consistency", w, abs(child[w + "0"] + child[w + "1"] - levels[n][w]))
+            check("invariance", w, abs(child["0" + w] + child["1" + w] - levels[n][w]))
+    return violations
+
+
 def product_mass(p, word):
     """Independent-digit mass of a word with per-digit P(0) = p."""
     mass = Fraction(1) if isinstance(p, Fraction) else 1.0

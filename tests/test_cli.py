@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +123,27 @@ def test_build_output_is_pinned(tmp_path, capsys, spec, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+# sha256 of `build` stdout as written when every exact cell was a
+# Fraction object; integer numerators must write the same bytes.
+_DEEP_BUILD_SHA256 = {
+    ("43/48,13/16,3/4,11/16,31/48", "constant", 14):
+        "5623f5313038b83bbe56a0e99fbc0c25134b14ba5966ae95b4554c2dc7c25ac0",
+    ("43/48,13/16,3/4,11/16,31/48", "constant", 16):
+        "2aecb020e8e2221d6019d1793c75c3ae68fae00bea82222e7697e6ec12ef7437",
+    ("1/2,3/10,3/20,1/20", "affine", 14):
+        "f2d639988ea56775f1bf0eecbaef4bd47aec4b69bd5594a4a6b6fae5e50d0d76",
+    ("1/2,3/10,3/20,1/20", "affine", 16):
+        "3ca22e9599cde0f96f8ba080043466bc4c75220a60b7a23c4998dd2309b3a776",
+}
+
+
+@pytest.mark.parametrize("a, tail, depth", sorted(_DEEP_BUILD_SHA256))
+def test_deep_exact_build_output_is_pinned(capsys, a, tail, depth):
+    assert run(["build", "--a", a, "--tail", tail, "--depth", str(depth)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == _DEEP_BUILD_SHA256[a, tail, depth]
+
+
 @pytest.mark.parametrize("spec, depth, length, golden", [
     (["--a", "1/2"], 1, 200, "sample_bernoulli_d1.txt"),
     (["--a", "1/2,1/5,1/10"], 3, 200, "sample_exact_d3.txt"),
@@ -184,6 +208,37 @@ def test_sample_malformed_table_exits_one(tmp_path, capsys, mangle):
     mangle(obj)
     assert _sample_table_file(tmp_path, obj) == 1
     assert "malformed table JSON" in capsys.readouterr().err
+
+
+def _exact_mass(text):
+    def mangle(obj):
+        obj["levels"][2]["probs"][1] = text
+    return mangle
+
+
+def _exact_level_too_long(obj):
+    obj["levels"][2]["probs"].append("1/4")
+
+
+@pytest.mark.parametrize("mangle", [_exact_mass("1/0"), _exact_mass("abc"),
+                                    _exact_mass("nan"), _exact_level_too_long])
+def test_sample_malformed_exact_table_exits_one(tmp_path, capsys, mangle):
+    obj = table_to_json(bernoulli_table(Fraction(1, 2), 2))
+    mangle(obj)
+    assert _sample_table_file(tmp_path, obj) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_exact_table_masses_read_in_any_fraction_spelling(tmp_path, capsys):
+    table = bernoulli_table(Fraction(1, 2), 2)
+    obj = table_to_json(table)
+    obj["levels"][2]["probs"][:2] = ["2/8", "0.25"]
+    assert table_from_json(obj) == table
+    assert _sample_table_file(tmp_path, obj) == 0
+    respelled = capsys.readouterr().out
+    assert _sample_table_file(tmp_path, table_to_json(table)) == 0
+    assert capsys.readouterr().out == respelled
 
 
 def test_optimize_summary_line(tmp_path, capsys):

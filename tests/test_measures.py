@@ -4,16 +4,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from shiftmaxent import (CylinderTable, StructuralError, all_words,
-                         bernoulli_table, conditional_entropy, entropy_ladder,
-                         markov_extend, markov_from_table, point_mass_table,
-                         sample_orbit, sample_orbits, table_from_json,
-                         table_from_top_level, table_to_json, truncate_table,
-                         validate)
+from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
+                         all_words, bernoulli_table, build_max_entropy_table,
+                         conditional_entropy, entropy_ladder, markov_extend,
+                         markov_from_table, point_mass_table, sample_orbit,
+                         sample_orbits, table_from_json, table_from_top_level,
+                         table_to_json, truncate_table, validate)
 from shiftmaxent import measures
 from shiftmaxent.measures import MarkovMeasure, OrbitSample
 
-from helpers import periodic_orbit_table, product_mass
+from helpers import periodic_orbit_table, product_mass, reference_validate
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,26 @@ def test_exact_mode_uses_zero_tolerance():
     levels[2]["01"] -= F(1, 10**15)
     report = validate(CylinderTable(levels))
     assert not report.ok  # exact tables are checked exactly
+
+
+def test_validate_levels_whose_denominators_do_not_divide():
+    # Each exact level is stored over the least common denominator of its
+    # masses. In a consistent table p_w = p_w0 + p_w1, so D_n divides
+    # D_(n+1), as it does for this spec; one moved mass breaks that.
+    spec = FrequencySpec.parse("43/48,13/16,3/4,11/16,31/48")
+    table = build_max_entropy_table(spec, 6)
+    assert table._dens == (1, 48, 48, 240, 1200, 6000, 30000)
+    assert validate(table).ok and reference_validate(table) == []
+    levels = [table.level(n) for n in range(7)]
+    levels[3]["010"] += F(1, 7)
+    bent = CylinderTable(levels)
+    assert bent._dens[2:5] == (48, 1680, 1200)
+    report = validate(bent)
+    assert [(v.kind, v.word, v.residual) for v in report.violations] == [
+        (kind, w, float(r)) for kind, w, r in reference_validate(bent)]
+    assert {(v.kind, v.word) for v in report.violations} == {
+        ("consistency", "01"), ("invariance", "10"),
+        ("consistency", "010"), ("invariance", "010")}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import periodic_orbit_table, reference_orbit
-from shiftmaxent import (FrequencySpec, bernoulli_table,
+from helpers import periodic_orbit_table, reference_orbit, reference_validate
+from shiftmaxent import (CylinderTable, FrequencySpec, bernoulli_table,
                          build_max_entropy_table, compare_with_closed_form,
-                         entropy_closed_form, entropy_ladder,
-                         point_mass_table, sample_orbits, table_from_json,
+                         entropy_closed_form, entropy_ladder, markov_extend,
+                         markov_from_table, point_mass_table, sample_orbits,
+                         table_from_json, table_from_top_level,
                          table_to_json, validate)
 from shiftmaxent.measures import _blocks
 
@@ -70,6 +71,62 @@ def test_entropy_ladder_descends_to_closed_form(spec, depth):
     end = closed.support_end + 2
     last = entropy_ladder(build_max_entropy_table(spec, end))[-1][1]
     assert abs(last - closed.value) <= 1e-12
+
+
+def _exact(spec):
+    return FrequencySpec(prefix=tuple(Fraction(v) for v in spec.prefix),
+                         tail=spec.tail)
+
+
+@st.composite
+def rationals(draw, lo, hi, denominators=60):
+    den = draw(st.integers(1, denominators))
+    return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+
+@st.composite
+def exact_tables(draw):
+    """An exact table of depth 1-8: a zero-block build, the Markov
+    extension of rational order-0..2 data, or a Bernoulli table."""
+    depth = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["zero-block", "markov", "bernoulli"]))
+    if kind == "zero-block":
+        return build_max_entropy_table(_exact(draw(feasible_specs())), depth)
+    if kind == "bernoulli":
+        return bernoulli_table(draw(rationals(0, 1)), depth)
+    order = draw(st.integers(0, min(2, depth - 1)))
+    if order == 1 and draw(st.booleans()):
+        # stationary two-state chain with P(1 | 0) = a and P(1 | 1) = b
+        a, b = draw(rationals(0, 1)), draw(rationals(0, 1))
+        one = a / (a + 1 - b) if a + 1 - b else Fraction(1, 2)
+        base = CylinderTable([[1], [1 - one, one],
+                              [(1 - one) * (1 - a), (1 - one) * a,
+                               one * (1 - b), one * b]])
+    else:
+        spec = _exact(draw(feasible_specs()))
+        base = build_max_entropy_table(spec, order + 1)
+    return markov_extend(markov_from_table(base), depth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=exact_tables(), data=st.data())
+def test_exact_validate_matches_fraction_reference(table, data):
+    assert validate(table).ok
+    assert reference_validate(table) == []
+    top = table.level(table.depth)
+    assert table_from_top_level(top) == table   # one canonical denominator
+    # One mass moved by a random rational, checked at tolerance 0 or 1/500.
+    n = data.draw(st.integers(0, table.depth))
+    word = data.draw(st.sampled_from(sorted(table.level(n))))
+    levels = [table.level(k) for k in range(table.depth + 1)]
+    levels[n][word] += data.draw(rationals(-1, 1, denominators=50))
+    bent = CylinderTable(levels)
+    tolerance = data.draw(st.sampled_from([0, Fraction(1, 500)]))
+    report = validate(bent, tolerance)
+    expect = reference_validate(bent, tolerance)
+    assert report.ok == (not expect)
+    assert [(v.kind, v.word, v.residual) for v in report.violations] == [
+        (kind, w, float(r)) for kind, w, r in expect]
 
 
 @st.composite
