@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConstraintError, InfeasibleSpecError, StructuralError,
                      UndefinedRatioError)
-from .estimators import katok_entropy, word_count_entropy
+from .estimators import entropy_estimates, katok_entropy, word_count_entropy
 from .measures import (EXACT, FLOAT, CylinderTable, MarkovMeasure,
                        OrbitSample, ValidationReport, bernoulli_table,
                        conditional_entropy, entropy_ladder, load_table,

@@ -8,6 +8,11 @@ n-cylinder, so both estimators reduce to counting length-n factors:
   n-words whose pooled empirical mass reaches 1 - delta. Since covers
   are unions of disjoint cylinders, taking words by decreasing
   frequency is exactly optimal.
+
+Both read one pooled count of the samples' length-n windows, and
+`entropy_estimates` gives the two numbers from a single count. Each
+window is coded as the integer it spells in binary; the codes are built
+by doubling the window width, so a count takes about log2 n array passes.
 """
 
 from __future__ import annotations
@@ -22,11 +27,22 @@ _MAX_WORD_LENGTH = 62  # packed into int64 window codes
 
 
 def _window_codes(bits, n):
-    k = bits.size - n + 1
-    codes = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        codes += bits[i:i + k].astype(np.int64) << (n - 1 - i)
-    return codes
+    """int(bits[i:i+n], 2) for every window start i, built from the codes
+    of widths 1, 2, 4, ... (width 2w is (c_w[:-w] << w) | c_w[w:]) joined
+    along the binary digits of n."""
+    block, w = bits.astype(np.int64), 1    # the codes of width w
+    codes, width = None, 0                 # the codes of width `width`
+    while True:
+        if n & w:
+            if codes is None:
+                codes, width = block, w
+            else:
+                codes = (codes[:block.size - width] << w) | block[width:]
+                width += w
+        if 2 * w > n:
+            return codes
+        block = (block[:-w] << w) | block[w:]
+        w *= 2
 
 
 def _word_counts(samples, n):
@@ -42,6 +58,27 @@ def _word_counts(samples, n):
     return np.unique(codes, return_counts=True)[1]
 
 
+def _check_delta(delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
+def _katok_from_counts(counts, n, delta):
+    counts = np.sort(counts)[::-1]
+    total = counts.sum()
+    threshold = (1.0 - delta) * total
+    cumulative = np.cumsum(counts)
+    r = int(np.searchsorted(cumulative, threshold - 1e-9 * total, side="left")) + 1
+    return math.log(r) / n
+
+
+def entropy_estimates(samples, n, delta):
+    """(word_count_entropy, katok_entropy) of the samples, from one count."""
+    _check_delta(delta)
+    counts = _word_counts(samples, n)
+    return math.log(counts.size) / n, _katok_from_counts(counts, n, delta)
+
+
 def word_count_entropy(samples, n):
     """(1/n) log of the number of distinct length-n factors observed."""
     return math.log(_word_counts(samples, n).size) / n
@@ -50,11 +87,5 @@ def word_count_entropy(samples, n):
 def katok_entropy(samples, n, delta):
     """(1/n) log of the least number of n-words covering empirical mass
     1 - delta (words taken in decreasing frequency)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    counts = np.sort(_word_counts(samples, n))[::-1]
-    total = counts.sum()
-    threshold = (1.0 - delta) * total
-    cumulative = np.cumsum(counts)
-    r = int(np.searchsorted(cumulative, threshold - 1e-9 * total, side="left")) + 1
-    return math.log(r) / n
+    _check_delta(delta)
+    return _katok_from_counts(_word_counts(samples, n), n, delta)

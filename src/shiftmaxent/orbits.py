@@ -2,9 +2,9 @@
 
 The recurrence of a word w along x at horizon n is the Birkhoff average
 of the cylinder indicator, (1/n) #{0 <= j < n : x_j..x_{j+|w|-1} = w}.
-Windows that overrun the end of the sample count as misses, which keeps
-the average a total function; the resulting boundary error is at most
-(|w| + 1)/n.
+The horizon may not exceed the length of x. Windows that overrun the
+end of the sample count as misses, which keeps the average a total
+function; the resulting boundary error is at most (|w| + 1)/n.
 """
 
 from __future__ import annotations
@@ -19,21 +19,24 @@ from .words import canonical_index, check_word
 
 
 def match_count(x, word, horizon):
-    """Number of window starts j < horizon where `word` occurs in x."""
+    """Number of window starts j < horizon where `word` occurs in x;
+    the horizon must lie in 1..len(x)."""
     check_word(word)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     bits = _bits_array(x)
+    if horizon > bits.size:
+        raise ValueError(f"horizon {horizon} exceeds the sample length {bits.size}")
     m = len(word)
     if m == 0:
         return horizon  # the whole space: every window hits
-    nwin = bits.size - m + 1
+    nwin = min(horizon, bits.size - m + 1)
     if nwin <= 0:
         return 0
     acc = np.ones(nwin, dtype=bool)
     for i, ch in enumerate(word):
         acc &= bits[i:i + nwin] == (1 if ch == "1" else 0)
-    return int(acc[:min(horizon, nwin)].sum())
+    return int(acc.sum())
 
 
 def recurrence(x, word, horizon):
@@ -116,6 +119,9 @@ class RecurrenceProfile:
 
 def recurrence_profile(x, words, horizon, targets=None):
     words = tuple(words)
+    for word in words:
+        if words.count(word) > 1:
+            raise ValueError(f"duplicate word {word!r}")
     if targets is not None:
         targets = tuple(float(t) for t in targets)
         if len(targets) != len(words):

@@ -1,6 +1,8 @@
 """Shared test utilities: random feasible specs and constraint sets, and
 independent oracles."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,25 @@ def reference_orbit(table, length, seed):
             one[w] = float(table.prob(w + "1")) / parent if parent > 0 else 0.0
         bits += "1" if uj < one[w] else "0"
     return bits
+
+
+def reference_entropy_estimates(samples, n, delta):
+    """Word-count and Katok values read off a Counter of the samples'
+    length-n substrings: log(#words)/n, and log(r)/n for the least r of
+    the commonest words whose count reaches (1 - delta) of all windows
+    (up to 1e-9 of the total, for the rounding of 1 - delta)."""
+    words = Counter()
+    for s in samples:
+        text = "".join(str(int(b)) for b in s)
+        words.update(text[i:i + n] for i in range(len(text) - n + 1))
+    total = sum(words.values())
+    covered, r = 0, 0
+    for count in sorted(words.values(), reverse=True):
+        covered += count
+        r += 1
+        if covered >= (1 - delta) * total - 1e-9 * total:
+            break
+    return math.log(len(words)) / n, math.log(r) / n
 
 
 def reference_validate(table, tolerance=0):

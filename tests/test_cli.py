@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import shiftmaxent
-from shiftmaxent import (bernoulli_table, load_table, table_from_json,
-                         table_to_json)
+from shiftmaxent import (bernoulli_table, estimators, load_table,
+                         table_from_json, table_to_json)
 from shiftmaxent.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -350,6 +350,22 @@ def test_exactly_one_spec_source(capsys):
     assert code == 1
 
 
+def test_estimate_counts_the_windows_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    word_counts = estimators._word_counts
+
+    def counting(samples, n):
+        calls.append(n)
+        return word_counts(samples, n)
+
+    monkeypatch.setattr(estimators, "_word_counts", counting)
+    code = run(["estimate", "--samples", _two_orbits(tmp_path), "--n", "3",
+                "--delta", "0.2"])
+    assert code == 0
+    assert "katok_entropy=" in capsys.readouterr().out
+    assert calls == [3]
+
+
 def _two_orbits(tmp_path):
     path = tmp_path / "samples.txt"
     path.write_text("0110100110010110\n1001011001101001\n")
@@ -373,6 +389,9 @@ def _two_orbits(tmp_path):
     ["check", "--tail", "affine", "--spec"],
     ["check", "--a", "1/2,1/4", "--terms", "3"],
     ["check", "--geometric", "1/2", "--tail", "affine"],
+    # the horizon may not pass the end of the sample, and each word gets one row
+    ["freq", "--words", "0", "--horizon", "100", "--sample"],
+    ["freq", "--words", "0,0", "--sample"],
 ])
 def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
     if argv[-1] == "--spec":

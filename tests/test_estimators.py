@@ -3,10 +3,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_entropy_estimates
 from shiftmaxent import (FrequencySpec, bernoulli_table,
-                         build_max_entropy_table, katok_entropy,
-                         point_mass_table, sample_orbits, word_count_entropy)
+                         build_max_entropy_table, entropy_estimates,
+                         katok_entropy, point_mass_table, sample_orbits,
+                         word_count_entropy)
+from shiftmaxent.estimators import _window_codes
 
 
 def _h2(p):
@@ -132,3 +137,34 @@ def test_word_count_rejects_values_other_than_bits():
     # used to count four distinct 1-words, log 4 > log 2
     with pytest.raises(ValueError):
         word_count_entropy([np.array([0, 2, 3, 1])], 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_window_codes_read_each_window_in_binary(data):
+    n = data.draw(st.integers(1, 62))
+    text = data.draw(st.text("01", min_size=n, max_size=n + 70))
+    codes = _window_codes(np.frombuffer(text.encode(), dtype=np.uint8) - 48, n)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [int(text[i:i + n], 2) for i in range(len(text) - n + 1)]
+
+
+@pytest.mark.parametrize("lengths", [(40,), (1, 3, 8), (300, 17, 64, 5), (2000, 1999)])
+def test_estimators_match_a_counter_reference(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    samples = [(rng.random(length) < 0.3).astype(np.uint8) for length in lengths]
+    for n in sorted({min(k, *lengths) for k in (1, 2, 7, 16, 62)}):
+        for delta in (0.05, 0.2, 0.5, 0.9):
+            expected = reference_entropy_estimates(samples, n, delta)
+            assert entropy_estimates(samples, n, delta) == expected
+            assert word_count_entropy(samples, n) == expected[0]
+            assert katok_entropy(samples, n, delta) == expected[1]
+
+
+def test_entropy_estimates_checks_its_input():
+    samples = _bernoulli_samples(0.5, 3, 100, seed=1)
+    for n, delta in ((5, 0.0), (5, 1.0), (101, 0.2), (0, 0.2)):
+        with pytest.raises(ValueError):
+            entropy_estimates(samples, n, delta)
+    with pytest.raises(ValueError):
+        entropy_estimates([], 5, 0.2)

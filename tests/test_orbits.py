@@ -41,6 +41,16 @@ def test_recurrence_overrunning_windows_count_as_misses():
     assert recurrence(x, "000", 10) == 8 / 10
 
 
+def test_horizon_beyond_the_sample_is_rejected():
+    x = np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    assert match_count(x, "0", 7) == 3
+    for word in ("0", "", "0110"):
+        with pytest.raises(ValueError):
+            match_count(x, word, 8)
+    with pytest.raises(ValueError):
+        recurrence(x, "0", 100)
+
+
 def test_recurrence_digit_counts_sum_to_horizon():
     rng = np.random.default_rng(4)
     x = (rng.random(997) < 0.37).astype(np.uint8)
@@ -175,6 +185,13 @@ def test_recurrence_profile_csv():
     assert len(rows) == 3
     bare = recurrence_profile(x, ["0"], 998)
     assert bare.csv_rows()[1].endswith(",,")
+
+
+def test_recurrence_profile_rejects_duplicate_words():
+    x = _periodic01(10)
+    for words in (["0", "0"], ["0", "1", "0"]):
+        with pytest.raises(ValueError):
+            recurrence_profile(x, words, 10)
 
 
 def test_recurrence_profile_rejects_targets_outside_unit_interval():
