@@ -24,6 +24,10 @@ checked with a small tolerance. Float values of an exact level are
 N_n / D_n, correctly rounded as ``float(Fraction)`` is. Every mass is
 finite. Tables are immutable after construction and safe to share
 across threads.
+
+Every mass read from outside the package (table entries, spec values,
+constraint bounds, recurrence targets) goes through :func:`parse_mass`,
+the one rule for what is exact: strings, ints and Fractions are.
 """
 
 from __future__ import annotations
@@ -48,6 +52,20 @@ FLOAT_TOLERANCE = 1e-12
 
 def _is_exact(value):
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def parse_mass(value):
+    """A mass read from outside: a str ("1/3", "0.25"), int or Fraction
+    as a Fraction, a float as is. A bool or other type raises TypeError,
+    a zero denominator ValueError; the range is the caller's to check."""
+    if isinstance(value, str) or _is_exact(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, float):
+        return value
+    raise TypeError(f"cannot read {value!r} as a mass")
 
 
 def _index(word):
@@ -208,10 +226,7 @@ class CylinderTable:
 
 def bernoulli_table(p, depth):
     """Product (Bernoulli) measure with mass p on digit 0, to `depth`."""
-    if _is_exact(p) or isinstance(p, str):
-        p = Fraction(p)
-    else:
-        p = float(p)
+    p = parse_mass(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if isinstance(p, Fraction):
@@ -785,11 +800,11 @@ def table_from_json(obj):
                 raise ValueError(f"levels out of order at index {n}")
             if mode == EXACT:
                 texts = [str(p) for p in entry["probs"]]
-                parsed = {text: Fraction(text) for text in dict.fromkeys(texts)}
+                parsed = {text: parse_mass(text) for text in dict.fromkeys(texts)}
                 levels.append([parsed[text] for text in texts])
             else:
-                levels.append([float(p) for p in entry["probs"]])
-    except (KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
+                levels.append([float(parse_mass(p)) for p in entry["probs"]])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
     return CylinderTable(levels, mode=mode)
 

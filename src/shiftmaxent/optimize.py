@@ -42,31 +42,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConstraintError
 from .measures import (FLOAT, CylinderTable, conditional_entropy,
-                       max_abs_deviation, table_from_top_level)
+                       max_abs_deviation, parse_mass, table_from_top_level)
 from .words import check_word
-from .zeroblock import build_max_entropy_table, extend_spec
+from .zeroblock import build_max_entropy_table
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITER = "max_iter"
 
 _MU_STAGES = 10.0 ** -np.arange(2, 14)   # barrier weights 1e-2 ... 1e-13
-
-
-def _as_bound(value):
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except ZeroDivisionError:
-            raise ConstraintError(f"zero denominator in bound {value!r}") from None
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,12 +69,17 @@ class Constraint:
 
     def __post_init__(self):
         check_word(self.word)
-        object.__setattr__(self, "lo", _as_bound(self.lo))
-        object.__setattr__(self, "hi", _as_bound(self.hi))
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
+        try:
+            lo, hi = parse_mass(self.lo), parse_mass(self.hi)
+        except (TypeError, ValueError) as exc:
+            raise ConstraintError(f"bad bound for {self.word!r}: {exc}") from None
+        # range-checked before float(), so that "1e400" is out of range
+        if not (0 <= lo <= 1 and 0 <= hi <= 1 and float(lo) <= float(hi)):
             raise ConstraintError(
                 f"need 0 <= lo <= hi <= 1 for {self.word!r}, "
-                f"got [{self.lo}, {self.hi}]")
+                f"got [{self.lo!r}, {self.hi!r}]")
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
 
     @property
     def is_equality(self):
@@ -449,8 +444,7 @@ def compare_with_closed_form(spec, depth):
     if depth < 2:
         raise ValueError("depth must be >= 2")
     built = build_max_entropy_table(spec, depth)
-    a = extend_spec(spec, max(len(spec.prefix), depth))
-    cset = ConstraintSet.equalities({"0" * k: float(a[k])
+    cset = ConstraintSet.equalities({"0" * k: float(built.prob("0" * k))
                                      for k in range(1, depth + 1)})
     result = solve(depth, cset)
     if result.table is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedRatioError
-from .measures import OrbitSample, _bits_array
+from .measures import OrbitSample, _bits_array, parse_mass
 from .words import canonical_index, check_word
 
 
@@ -72,7 +72,8 @@ def weighted_deviation(x, horizon, targets):
     metric sum_i 2^{-i} |A_n(w_i) - alpha_i|.
 
     Weights come from the canonical length-lexicographic enumeration of
-    words (index 1 for "0"), not from the position in `targets`.
+    words (index 1 for "0"), not from the position in `targets`. Each
+    target is read by :func:`measures.parse_mass` and must lie in [0, 1].
     """
     seen = set()
     total = 0.0
@@ -81,8 +82,11 @@ def weighted_deviation(x, horizon, targets):
         if word in seen:
             raise ValueError(f"duplicate target word {word!r}")
         seen.add(word)
+        target = parse_mass(alpha)
+        if not 0 <= target <= 1:
+            raise ValueError(f"target {alpha!r} of {word!r} outside [0, 1]")
         weight = 2.0 ** (-canonical_index(word))
-        total += weight * abs(recurrence(x, word, horizon) - float(alpha))
+        total += weight * abs(recurrence(x, word, horizon) - float(target))
     return total
 
 
@@ -123,11 +127,13 @@ def recurrence_profile(x, words, horizon, targets=None):
         if words.count(word) > 1:
             raise ValueError(f"duplicate word {word!r}")
     if targets is not None:
-        targets = tuple(float(t) for t in targets)
+        given = list(targets)
+        targets = tuple(map(parse_mass, given))
         if len(targets) != len(words):
             raise ValueError("targets must align with words")
-        if not all(0.0 <= t <= 1.0 for t in targets):
-            raise ValueError(f"targets must lie in [0, 1], got {targets}")
+        if not all(0 <= t <= 1 for t in targets):
+            raise ValueError(f"targets must lie in [0, 1], got {given}")
+        targets = tuple(map(float, targets))
     averages = tuple(recurrence(x, w, horizon) for w in words)
     return RecurrenceProfile(words=words, horizon=horizon,
                              averages=averages, targets=targets)

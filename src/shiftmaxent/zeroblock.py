@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleSpecError
-from .measures import EXACT, FLOAT, CylinderTable, markov_step
+from .measures import EXACT, FLOAT, CylinderTable, markov_step, parse_mass
 
 TAIL_CONSTANT = "constant"
 TAIL_AFFINE = "affine"
@@ -30,28 +30,6 @@ TAIL_AFFINE = "affine"
 KIND_RANGE = "range"
 KIND_MONOTONE = "monotone"
 KIND_CONVEXITY = "convexity"
-
-
-def _coerce_values(values):
-    """Normalize to all-Fraction (exact) or all-float values."""
-    parsed = []
-    exact = True
-    for v in values:
-        if isinstance(v, str):
-            try:
-                parsed.append(Fraction(v))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {v!r}") from None
-        elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            parsed.append(Fraction(v))
-        elif isinstance(v, float):
-            parsed.append(v)
-            exact = False
-        else:
-            raise TypeError(f"cannot interpret {v!r} as a frequency value")
-    if not exact:
-        parsed = [float(v) for v in parsed]
-    return tuple(parsed), exact
 
 
 @dataclass(frozen=True)
@@ -67,14 +45,17 @@ class FrequencySpec:
     tail: str = TAIL_CONSTANT
 
     def __post_init__(self):
-        values, _ = _coerce_values(self.prefix)
+        given = tuple(self.prefix)
+        values = tuple(map(parse_mass, given))
         if not values:
             raise ValueError("prefix must contain at least one value")
         if self.tail not in (TAIL_CONSTANT, TAIL_AFFINE):
             raise ValueError(f"unknown tail policy {self.tail!r}")
-        for v in values:
+        for raw, v in zip(given, values):
             if not 0 <= v <= 1:
-                raise ValueError(f"frequency {v} outside [0, 1]")
+                raise ValueError(f"frequency {raw!r} outside [0, 1]")
+        if not all(isinstance(v, Fraction) for v in values):
+            values = tuple(map(float, values))
         object.__setattr__(self, "prefix", values)
 
     @property
@@ -92,10 +73,9 @@ class FrequencySpec:
     @classmethod
     def geometric(cls, ratio, terms=64):
         """a_k = ratio^k for k = 1..terms, constant afterwards."""
-        values, _ = _coerce_values([ratio])
-        r = values[0]
+        r = parse_mass(ratio)
         if not 0 <= r <= 1:
-            raise ValueError("ratio must lie in [0, 1]")
+            raise ValueError(f"ratio must lie in [0, 1], got {ratio!r}")
         if terms < 1:
             raise ValueError("terms must be >= 1")
         return cls(prefix=tuple(r ** k for k in range(1, terms + 1)),
@@ -197,6 +177,13 @@ def _require_feasible(a, upto):
         raise InfeasibleSpecError(report)
 
 
+def _sequence(spec, upto):
+    """extend_spec(spec, max(m, upto)), checked feasible through `upto`."""
+    a = extend_spec(spec, max(len(spec.prefix), upto))
+    _require_feasible(a, upto)
+    return a
+
+
 def boundary_values(a, n):
     """Masses (p_{00^n0}, p_{00^n1}, p_{10^n0}, p_{10^n1}) around the
     all-zeros stem; the four values are nonnegative and sum to a_n.
@@ -224,9 +211,8 @@ def build_max_entropy_table(spec, depth):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    a = extend_spec(spec, max(len(spec.prefix), depth))
-    _require_feasible(a, depth)
-    one = Fraction(1) if spec.exact else 1.0
+    a = _sequence(spec, depth)
+    one = a[0]
     table = CylinderTable([[one], [a[1], one - a[1]]],
                           mode=EXACT if spec.exact else FLOAT)
     for m in range(2, depth + 1):
@@ -286,9 +272,7 @@ def entropy_closed_form(spec, truncation=None, units="nats"):
     j_max = support if truncation is None else int(truncation)
     if j_max < 0:
         raise ValueError("truncation must be >= 0")
-    need = max(len(spec.prefix), j_max + 2)
-    a = extend_spec(spec, need)
-    _require_feasible(a, j_max + 2)
+    a = _sequence(spec, j_max + 2)
     value = -_h(1 - a[1])
     for j in range(j_max + 1):
         value += _h(a[j] - 2 * a[j + 1] + a[j + 2])
@@ -300,8 +284,7 @@ def entropy_closed_form(spec, truncation=None, units="nats"):
 
 def level2_entropy(spec):
     """h^(2) of the maximal-entropy measure, from the a-values alone."""
-    a = extend_spec(spec, max(len(spec.prefix), 2))
-    _require_feasible(a, 2)
+    a = _sequence(spec, 2)
     return (_h(a[2]) + 2 * _h(a[1] - a[2]) - _h(a[1]) - _h(1 - a[1])
             + _h(1 - 2 * a[1] + a[2]))
 
@@ -312,8 +295,7 @@ def telescoping_increments(spec, upto):
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    a = extend_spec(spec, max(len(spec.prefix), upto + 2))
-    _require_feasible(a, upto + 2)
+    a = _sequence(spec, upto + 2)
     out = []
     for n in range(1, upto + 1):
         val = (_h(a[n + 2]) - 2 * _h(a[n + 1]) + _h(a[n])

@@ -407,29 +407,48 @@ def test_rejected_input_prints_nothing(tmp_path, capsys, argv):
     assert captured.err.startswith("error:")
 
 
-def _zero_bound_file(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps([{"word": "0", "lo": "1/0", "hi": 1}]))
-    return ["optimize", "--depth", "2", "--constraints", str(path)]
+def _bound_file(lo):
+    def argv(tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"word": "0", "lo": lo, "hi": 1}]))
+        return ["optimize", "--depth", "2", "--constraints", str(path)]
+    return argv
 
 
-def _zero_mass_table_file(tmp_path):
-    obj = table_to_json(bernoulli_table("1/2", 2))
-    obj["levels"][2]["probs"][0] = "1/0"
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(obj))
-    return ["sample", "--length", "10", "--table", str(path)]
+def _table_file(p, mass):
+    def argv(tmp_path):
+        obj = table_to_json(bernoulli_table(p, 2))
+        obj["levels"][0]["probs"][0] = mass   # in place of p_empty = 1
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(obj))
+        return ["sample", "--length", "10", "--table", str(path)]
+    return argv
 
 
+def _spec_file(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"a": [True]}))
+    return ["check", "--spec", str(path)]
+
+
+# Every mass read from outside goes through one parser: a zero
+# denominator, a bool or a value beyond the float range is bad input.
 @pytest.mark.parametrize("argv", [
     lambda tmp_path: ["check", "--a", "1/0"],
     lambda tmp_path: ["check", "--geometric", "1/0"],
     lambda tmp_path: ["freq", "--words", "0", "--targets", "1/0",
                       "--sample", _two_orbits(tmp_path)],
-    _zero_bound_file,
-    _zero_mass_table_file,
+    _bound_file("1/0"),
+    _table_file("1/2", "1/0"),
+    _bound_file(True),
+    _bound_file("1e400"),
+    lambda tmp_path: ["freq", "--words", "0", "--targets", "1e400",
+                      "--sample", _two_orbits(tmp_path)],
+    _table_file(0.5, True),
+    _spec_file,
 ], ids=["check-a", "check-geometric", "freq-targets", "optimize-bound",
-        "table-mass"])
+        "table-mass", "optimize-bound-bool", "optimize-bound-huge",
+        "freq-targets-huge", "float-table-mass-bool", "spec-value-bool"])
 def test_zero_denominator_is_bad_input(tmp_path, capsys, argv):
     code = run(argv(tmp_path))
     captured = capsys.readouterr()

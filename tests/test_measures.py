@@ -376,6 +376,17 @@ def test_json_round_trip_float():
     assert again == table
 
 
+def test_float_table_reads_exact_texts():
+    obj = table_to_json(bernoulli_table(0.5, 1))
+    obj["levels"][1]["probs"] = ["1/2", 0.5]
+    assert table_from_json(obj) == bernoulli_table(0.5, 1)
+
+
+def test_bernoulli_rejects_bool():
+    with pytest.raises(TypeError):
+        bernoulli_table(True, 2)
+
+
 def test_json_rejects_malformed():
     obj = table_to_json(bernoulli_table(0.5, 2))
     obj["levels"][1]["probs"] = [0.5]

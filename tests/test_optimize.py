@@ -99,6 +99,11 @@ def test_constraint_validation():
         Constraint("01", -0.1, 0.4)
     with pytest.raises(ConstraintError):
         ConstraintSet((Constraint("0", 0.1, 0.1), Constraint("0", 0.2, 0.2)))
+    with pytest.raises(ConstraintError):
+        Constraint("0", True, 1)
+    # the bound as given, not a 401-digit integer or a float overflow
+    with pytest.raises(ConstraintError, match=r"got \['1e400', 1\]"):
+        Constraint("0", "1e400", 1)
 
 
 def test_constraint_json_round_trip():

@@ -127,6 +127,14 @@ def test_weighted_deviation_duplicates_rejected():
         weighted_deviation(_periodic01(100), 100, [("0", 0.5), ("0", 0.4)])
 
 
+def test_weighted_deviation_reads_targets_as_masses():
+    x = _periodic01(100)
+    assert weighted_deviation(x, 100, [("0", "1/4")]) == 0.5 * 0.25
+    for bad in (True, 7.0, "1/0", "1e400"):
+        with pytest.raises((TypeError, ValueError)):
+            weighted_deviation(x, 100, [("0", bad)])
+
+
 def test_weighted_deviation_pseudometric():
     rng = np.random.default_rng(12)
     x = (rng.random(4000) < 0.5).astype(np.uint8)

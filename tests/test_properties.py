@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import periodic_orbit_table, reference_orbit, reference_validate
-from shiftmaxent import (CylinderTable, FrequencySpec, bernoulli_table,
-                         build_max_entropy_table, compare_with_closed_form,
-                         entropy_closed_form, entropy_ladder, markov_extend,
-                         markov_from_table, point_mass_table, sample_orbits,
+from shiftmaxent import (Constraint, CylinderTable, FrequencySpec,
+                         bernoulli_table, build_max_entropy_table,
+                         compare_with_closed_form, entropy_closed_form,
+                         entropy_ladder, markov_extend, markov_from_table,
+                         point_mass_table, recurrence_profile, sample_orbits,
                          table_from_json, table_from_top_level,
                          table_to_json, validate)
-from shiftmaxent.measures import _blocks
+from shiftmaxent.measures import _blocks, parse_mass
 
 
 @st.composite
@@ -174,3 +175,15 @@ def test_sample_orbits_match_reference(data):
     assert [s.seed for s in samples] == [seed ^ i for i in range(count)]
     assert [s.to_line() for s in samples] == [
         reference_orbit(table, length, seed ^ i) for i in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.fractions(min_value=0, max_value=1))
+def test_entry_points_read_one_mass_alike(f):
+    text = str(f)
+    assert parse_mass(text) == f
+    assert FrequencySpec((text,)).prefix == (f,)
+    assert Constraint("0", text, text).lo == float(f)
+    assert recurrence_profile([0, 1], ["0"], 2, targets=[text]).targets == (float(f),)
+    table = bernoulli_table(text, 3)
+    assert table_from_json(table_to_json(table)) == table
