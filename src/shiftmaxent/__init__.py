@@ -16,7 +16,7 @@ from .measures import (EXACT, FLOAT, CylinderTable, MarkovMeasure,
                        dump_table, markov_extend, markov_from_table,
                        max_abs_deviation, point_mass_table, sample_orbit,
                        sample_orbits, table_from_json, table_from_top_level,
-                       table_to_json, truncate_table, validate)
+                       table_text, table_to_json, truncate_table, validate)
 from .optimize import (ComparisonReport, Constraint, ConstraintSet,
                        OptimizationResult, cell_maximize,
                        compare_with_closed_form, solve)

@@ -21,7 +21,9 @@ from .estimators import entropy_estimates
 # Kept as cli names because perfbench/spans.py wraps them; cmd_estimate calls neither.
 from .estimators import katok_entropy, word_count_entropy  # noqa: F401
 from .measures import (OrbitSample, entropy_ladder, load_table,
-                       sample_orbits, table_to_json)
+                       sample_orbits, table_text)
+# Kept as a cli name because perfbench/spans.py wraps it; no command calls it.
+from .measures import table_to_json  # noqa: F401
 from .optimize import ConstraintSet, compare_with_closed_form, solve
 from .orbits import generic_point_half, recurrence_profile
 from .zeroblock import (FrequencySpec, build_max_entropy_table, check_feasible,
@@ -97,7 +99,7 @@ def cmd_check(args):
 def cmd_build(args):
     spec = _spec_from_args(args)
     table = build_max_entropy_table(spec, args.depth)
-    _emit(json.dumps(table_to_json(table), indent=2) + "\n", args.out)
+    _emit(table_text(table), args.out)
     return 0
 
 
@@ -128,7 +130,7 @@ def cmd_optimize(args):
         cset = ConstraintSet.from_json(json.load(fh))
     result = solve(args.depth, cset)
     if result.table is not None:
-        _emit(json.dumps(table_to_json(result.table), indent=2) + "\n", args.out)
+        _emit(table_text(result.table), args.out)
     else:
         print(json.dumps(result.certificate, indent=2, sort_keys=True))
     print(result.summary())

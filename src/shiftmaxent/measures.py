@@ -759,12 +759,20 @@ def sample_orbits(table, length, count, seed):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _fraction_texts(nums, den):
-    """str(Fraction(p, den)) for each numerator p, each distinct p
+def _fraction_texts(nums, den, form=str):
+    """form(Fraction(p, den)) for each numerator p, each distinct p
     reduced by its gcd with den once."""
     values = nums.tolist()
-    text = {p: str(Fraction(p, den)) for p in set(values)}
+    text = {p: form(Fraction(p, den)) for p in set(values)}
     return [text[p] for p in values]
+
+
+def _float_texts(level):
+    """repr of each float64 mass, each distinct bit pattern formatted
+    once (so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(level.view(np.int64), return_inverse=True)
+    texts = np.array([repr(p) for p in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def table_to_json(table):
@@ -773,6 +781,23 @@ def table_to_json(table):
     levels = [{"n": n, "probs": _fraction_texts(level, den) if exact else level.tolist()}
               for n, (level, den) in enumerate(zip(table._levels, table._dens))]
     return {"depth": table.depth, "mode": table.mode, "levels": levels}
+
+
+def table_text(table):
+    """The table file: exactly ``json.dumps(table_to_json(table),
+    indent=2) + "\n"``, one mass per line, built without the JSON encoder."""
+    exact = table.mode == EXACT
+    # One join at the end: joining level strings, then the file, would copy
+    # every mass twice more and leave the peak memory higher than json's.
+    parts = [f'{{\n  "depth": {table.depth},\n  "mode": "{table.mode}",\n  "levels": [']
+    for n, (level, den) in enumerate(zip(table._levels, table._dens)):
+        masses = (_fraction_texts(level, den, lambda f: f'"{f}"') if exact
+                  else _float_texts(level))
+        parts += ["," if n else "",
+                  f'\n    {{\n      "n": {n},\n      "probs": [\n        ',
+                  ",\n        ".join(masses), "\n      ]\n    }"]
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _json_int(value, what):
@@ -803,16 +828,16 @@ def table_from_json(obj):
                 parsed = {text: parse_mass(text) for text in dict.fromkeys(texts)}
                 levels.append([parsed[text] for text in texts])
             else:
-                levels.append([float(parse_mass(p)) for p in entry["probs"]])
+                levels.append([p if type(p) is float else float(parse_mass(p))
+                               for p in entry["probs"]])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
     return CylinderTable(levels, mode=mode)
 
 
 def dump_table(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_json(table), fh, indent=2)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(table_text(table))
 
 
 def load_table(path):

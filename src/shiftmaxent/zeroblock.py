@@ -84,6 +84,8 @@ class FrequencySpec:
     @classmethod
     def from_json(cls, obj):
         try:
+            if not isinstance(obj["a"], list):
+                raise TypeError(f'"a" must be a list, got {obj["a"]!r}')
             return cls(prefix=tuple(obj["a"]),
                        tail=obj.get("tail", TAIL_CONSTANT))
         except (KeyError, TypeError) as exc:

@@ -144,6 +144,31 @@ def test_deep_exact_build_output_is_pinned(capsys, a, tail, depth):
     assert digest == _DEEP_BUILD_SHA256[a, tail, depth]
 
 
+# sha256 of float `build` stdout, of the affine spec above, and of a
+# float `optimize --out` file, as written by json.dumps(..., indent=2).
+_DEEP_FLOAT_BUILD_SHA256 = {
+    14: "d3269bf150cd60437a16ebb24c3f679f319dde14bba94c92a5e431058255a95e",
+    16: "201fd2b9c85a1c73e0c4be27ddc994cb4f5973b14dc5dfdf4fb8ddc66acdb5a8",
+}
+_OPTIMIZE_OUT_SHA256 = \
+    "de9b2a29f3f69294ee2f0a3c5185a590f6f37d19db0f7fa59d94d34ccd252a0b"
+
+
+@pytest.mark.parametrize("depth", sorted(_DEEP_FLOAT_BUILD_SHA256))
+def test_deep_float_build_output_is_pinned(tmp_path, capsys, depth):
+    assert run(["build", *_spec_argv(tmp_path, _AFFINE), "--depth", str(depth)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == _DEEP_FLOAT_BUILD_SHA256[depth]
+
+
+def test_optimize_out_file_is_pinned(tmp_path, capsys):
+    constraints, out = tmp_path / "c.json", tmp_path / "table.json"
+    constraints.write_text(json.dumps([{"word": "00", "lo": 0, "hi": 0}]))
+    assert run(["optimize", "--constraints", str(constraints), "--depth", "5",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _OPTIMIZE_OUT_SHA256
+
+
 @pytest.mark.parametrize("spec, depth, length, golden", [
     (["--a", "1/2"], 1, 200, "sample_bernoulli_d1.txt"),
     (["--a", "1/2,1/5,1/10"], 3, 200, "sample_exact_d3.txt"),
@@ -199,15 +224,33 @@ def _infinite_depth(obj):
     obj["depth"] = math.inf
 
 
+def _bool_mass(obj):
+    obj["levels"][1]["probs"][0] = True
+
+
+def _huge_int_mass(obj):
+    obj["levels"][1]["probs"][0] = 10 ** 400
+
+
+_MALFORMED_DETAIL = {
+    _bool_mass: "cannot read True as a mass",
+    _huge_int_mass: "integer division result too large for a float",
+}
+
+
 @pytest.mark.parametrize("mangle", [_null_mass, _level_without_n,
                                     _level_as_list, _levels_not_a_list,
                                     _fractional_depth, _fractional_n,
-                                    _infinite_depth])
+                                    _infinite_depth, _bool_mass,
+                                    _huge_int_mass])
 def test_sample_malformed_table_exits_one(tmp_path, capsys, mangle):
     obj = table_to_json(bernoulli_table(0.5, 2))
     mangle(obj)
     assert _sample_table_file(tmp_path, obj) == 1
-    assert "malformed table JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed table JSON" in err
+    if mangle in _MALFORMED_DETAIL:
+        assert err == f"error: malformed table JSON: {_MALFORMED_DETAIL[mangle]}\n"
 
 
 def _exact_mass(text):
@@ -425,10 +468,12 @@ def _table_file(p, mass):
     return argv
 
 
-def _spec_file(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"a": [True]}))
-    return ["check", "--spec", str(path)]
+def _spec_file(spec):
+    def argv(tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return ["check", "--spec", str(path)]
+    return argv
 
 
 # Every mass read from outside goes through one parser: a zero
@@ -445,10 +490,15 @@ def _spec_file(tmp_path):
     lambda tmp_path: ["freq", "--words", "0", "--targets", "1e400",
                       "--sample", _two_orbits(tmp_path)],
     _table_file(0.5, True),
-    _spec_file,
+    _spec_file({"a": [True]}),
+    # "a" must be a list, not a string or an object read as one
+    _spec_file({"a": "1"}),
+    _spec_file({"a": {"1/2": 0}}),
+    _spec_file({"a": "05"}),
 ], ids=["check-a", "check-geometric", "freq-targets", "optimize-bound",
         "table-mass", "optimize-bound-bool", "optimize-bound-huge",
-        "freq-targets-huge", "float-table-mass-bool", "spec-value-bool"])
+        "freq-targets-huge", "float-table-mass-bool", "spec-value-bool",
+        "spec-a-string", "spec-a-object", "spec-a-digits"])
 def test_zero_denominator_is_bad_input(tmp_path, capsys, argv):
     code = run(argv(tmp_path))
     captured = capsys.readouterr()

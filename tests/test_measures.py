@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,10 +7,11 @@ import pytest
 
 from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
                          all_words, bernoulli_table, build_max_entropy_table,
-                         conditional_entropy, entropy_ladder, markov_extend,
-                         markov_from_table, point_mass_table, sample_orbit,
-                         sample_orbits, table_from_json, table_from_top_level,
-                         table_to_json, truncate_table, validate)
+                         conditional_entropy, dump_table, entropy_ladder,
+                         markov_extend, markov_from_table, point_mass_table,
+                         sample_orbit, sample_orbits, table_from_json,
+                         table_from_top_level, table_text, table_to_json,
+                         truncate_table, validate)
 from shiftmaxent import measures
 from shiftmaxent.measures import MarkovMeasure, OrbitSample
 
@@ -374,6 +376,21 @@ def test_json_round_trip_float():
     assert obj["mode"] == "float"
     again = table_from_json(obj)
     assert again == table
+
+
+def test_table_text_keeps_signed_zeros_subnormals_and_repeats(tmp_path):
+    depth_one = [[1.0], [-0.0, 5e-324]]
+    for levels in (depth_one, [[1.0], [0.5, 0.5], [0.25, -0.0, 0.0, 0.25]]):
+        table = CylinderTable(levels, mode="float")
+        text = table_text(table)
+        assert text == json.dumps(table_to_json(table), indent=2) + "\n"
+        again = table_from_json(json.loads(text))
+        for n, level in enumerate(levels):
+            assert [repr(p) for p in again.level(n).values()] == list(map(repr, level))
+        dump_table(table, tmp_path / "table.json")
+        assert (tmp_path / "table.json").read_text() == text
+    assert '"probs": [\n        -0.0,\n        5e-324\n      ]' in table_text(
+        CylinderTable(depth_one, mode="float"))
 
 
 def test_float_table_reads_exact_texts():

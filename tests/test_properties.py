@@ -13,7 +13,7 @@ from shiftmaxent import (Constraint, CylinderTable, FrequencySpec,
                          entropy_ladder, markov_extend, markov_from_table,
                          point_mass_table, recurrence_profile, sample_orbits,
                          table_from_json, table_from_top_level,
-                         table_to_json, validate)
+                         table_text, table_to_json, validate)
 from shiftmaxent.measures import _blocks, parse_mass
 
 
@@ -145,6 +145,25 @@ def sampled_tables(draw):
         return point_mass_table(draw(st.sampled_from("01")), depth)
     word = draw(st.sampled_from(["0011", "001", "01", "0001011"]))
     return periodic_orbit_table(word, depth)
+
+
+@st.composite
+def float_tables(draw):
+    """A float table of depth 1-6, valid or not, whose masses come from
+    a pool of up to 8 finite floats, so that levels repeat masses; the
+    pool may hold -0.0, 0.0, subnormals and huge values."""
+    depth = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=8))
+    return CylinderTable([draw(st.lists(st.sampled_from(pool), min_size=1 << n,
+                                        max_size=1 << n))
+                          for n in range(depth + 1)], mode="float")
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=st.one_of(exact_tables(), sampled_tables(), float_tables()))
+def test_table_text_is_the_indented_json(table):
+    assert table_text(table) == json.dumps(table_to_json(table), indent=2) + "\n"
 
 
 @st.composite

@@ -46,6 +46,13 @@ def test_prefix_must_be_nonempty_and_in_range():
         FrequencySpec(prefix=(F(3, 2),))
 
 
+@pytest.mark.parametrize("a", ["1", {"1/2": 0}, "05", None, 0.5])
+def test_spec_json_needs_a_list(a):
+    with pytest.raises(ValueError, match="malformed spec JSON"):
+        FrequencySpec.from_json({"a": a})
+    assert FrequencySpec.from_json({"a": ["1/2"]}).prefix == (F(1, 2),)
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 # ---------------------------------------------------------------------------
