@@ -13,6 +13,11 @@ Both read one pooled count of the samples' length-n windows, and
 `entropy_estimates` gives the two numbers from a single count. Each
 window is coded as the integer it spells in binary; the codes are built
 by doubling the window width, so a count takes about log2 n array passes.
+While 2^n is at most the number of windows, one `np.bincount` pass counts
+the codes, and its array is no larger than they are; its nonzero entries
+are `np.unique`'s counts, in the same order, without the sort. Longer
+words are counted by `np.unique`, the only path whose memory does not
+grow as 2^n.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ def _word_counts(samples, n):
     if min(a.size for a in arrays) < n:
         raise ValueError("word length exceeds the shortest sample")
     codes = np.concatenate([_window_codes(a, n) for a in arrays])
+    if 1 << n <= codes.size:
+        counts = np.bincount(codes)
+        return counts[counts > 0]
     return np.unique(codes, return_counts=True)[1]
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -602,29 +603,31 @@ _BATCH_BITS = 1 << 20
 #: Below about 90 lanes the vector pass and its repairs cost more than
 #: the per-bit loop they replace (measured at depths 3-8).
 _MIN_LANES = 96
-#: Steps the repair takes before it first checks for coupling.
+#: Steps the scalar check takes before it first checks for coupling.
 _REPAIR_STEPS = 8
+#: The vector repair hands its lanes to the scalar check once fewer than
+#: this many are left: a numpy step over so few lanes costs more than
+#: the per-bit steps it replaces.
+_MIN_REPAIR_LANES = 32
+#: Steps the vector repair takes at most; this bounds what it adds to a
+#: draw whose chains never meet, such as a periodic orbit's.
+_REPAIR_CAP = 32
 
 
-def _walk(cond, end, state, u, bits, pos):
+def _walk(cond, zero, state, u, bits, pos):
     """The per-bit rule bit_j = u_j < cond[state_j], one step at a time.
 
     Writes the bit of every uniform in the list `u` to bits[pos:] and
-    returns the final state. A state is a leading 1 followed by the
-    conditioning symbols; once it holds depth symbols it keeps only the
-    last depth-1, so from step depth-1 on it lies in [end/2, end).
+    returns the final state; zero[s] is the state after a 0 from s, and
+    zero[s] | 1 the state after a 1 (see :func:`_draw_bits`).
     """
-    top = end >> 1
-    low = top - 1
     for j, uj in enumerate(u, pos):
         if uj < cond[state]:
             bits[j] = 1
-            state = state << 1 | 1
+            state = zero[state] | 1
         else:
             bits[j] = 0
-            state <<= 1
-        if state >= end:
-            state = top | state & low
+            state = zero[state]
     return state
 
 
@@ -645,7 +648,14 @@ def _blocks(count, length, depth):
 def _draw_bits(cond, guess, length, seeds):
     """Orbit i driven by default_rng(seeds[i]).random(length), as row i
     of a uint8 array; `guess` is the state each block after the first
-    assumes at its start (see :func:`sample_orbits`)."""
+    assumes at its start (see :func:`sample_orbits`).
+
+    After the vector pass, :func:`_repair_lanes` re-runs the blocks whose
+    guess was wrong as numpy lanes, for at most _REPAIR_CAP steps. The
+    scalar check then re-runs bit by bit each block whose true start
+    differs from the start its stored states assume: the lanes the
+    repair left unmet, and the blocks after them.
+    """
     count = len(seeds)
     end = cond.size
     head, nb, steps = _blocks(count, length, end.bit_length() - 1)
@@ -658,18 +668,23 @@ def _draw_bits(cond, guess, length, seeds):
     bits = bytearray(count * length)
     out = np.frombuffer(bits, dtype=np.uint8).reshape(count, length)
     condl = cond.tolist()
+    # A state is a leading 1 followed by the conditioning symbols; once it
+    # holds depth symbols it keeps only the last depth-1, so from step
+    # depth-1 on it lies in [end/2, end). zero[s] is the state after a 0.
+    top = end >> 1
+    zero = np.arange(end) << 1
+    zero[top:] = zero[top:] & top - 1 | top
+    zerol = zero.tolist()
     if count * nb < _MIN_LANES:
         for i in range(count):
-            _walk(condl, end, 1, u[i, :length].tolist(), bits, i * length)
+            _walk(condl, zerol, 1, u[i, :length].tolist(), bits, i * length)
         return out
     # Vector pass: block b of orbit i is one lane, starting from the true
     # state for b = 0 and from `guess` otherwise; states[t, i, b] is the
     # lane's state after its step t, and the state's last bit is the bit.
     state = np.full((count, nb), guess)
     for i in range(count):
-        state[i, 0] = _walk(condl, end, 1, u[i, :head].tolist(), bits, i * length)
-    top = end >> 1
-    after_zero = np.arange(end) << 1 & top - 1 | top
+        state[i, 0] = _walk(condl, zerol, 1, u[i, :head].tolist(), bits, i * length)
     blocks = u[:, head:].reshape(count, nb, steps)
     states = np.empty((steps, count, nb), dtype=np.min_scalar_type(end - 1))
     p_one = np.empty((count, nb))
@@ -678,28 +693,30 @@ def _draw_bits(cond, guess, length, seeds):
     for t in range(steps):
         cond.take(state, out=p_one, mode="clip")
         np.less(blocks[:, :, t], p_one, out=one)
-        after_zero.take(state, out=nxt, mode="clip")
+        zero.take(state, out=nxt, mode="clip")
         np.bitwise_or(nxt, one, out=nxt)
         state, nxt = nxt, state
         states[t] = state
+    starts = _repair_lanes(cond, zero, blocks, states, guess)
     lanes = states.transpose(1, 2, 0).reshape(count, nb * steps)
     np.bitwise_and(lanes[:, :rest], 1, out=out[:, head:])
-    # Repair: a block whose true start state (the end of the block before
-    # it) is not the guess is re-run by the scalar rule from the true
-    # state until that chain meets the lane's; they agree from there on.
+    # Check: block b's stored states start from starts[i][b]. A block
+    # whose true start state (the end of the block before it) is another
+    # is re-run by the scalar rule from its true state until that chain
+    # meets the stored one; they agree from there on.
     sizes = [min(steps, rest - b * steps) for b in range(nb)]
     final = states[np.array(sizes) - 1, :, np.arange(nb)].T.tolist()
     for i in range(count):
         state = final[i][0]
         for b in range(1, nb):
-            if state == guess:
+            if state == starts[i][b]:
                 state = final[i][b]
                 continue
             pos = head + b * steps
             t, k = 0, _REPAIR_STEPS
             while t < sizes[b]:
                 k = min(k, sizes[b] - t)
-                state = _walk(condl, end, state, u[i, pos + t:pos + t + k].tolist(),
+                state = _walk(condl, zerol, state, u[i, pos + t:pos + t + k].tolist(),
                               bits, i * length + pos + t)
                 t += k
                 if state == states.item(t - 1, i, b):
@@ -709,9 +726,60 @@ def _draw_bits(cond, guess, length, seeds):
     return out
 
 
+def _repair_lanes(cond, zero, blocks, states, guess):
+    """The vector repair of :func:`_draw_bits`; returns the state each
+    block's stored `states` start from, as nested lists.
+
+    Every block whose predecessor's lane ended at a state other than the
+    guess is re-run from that end state as one more numpy lane. A lane
+    meets the block's stored states at the first step where the two
+    states are equal; the chains agree from there on, so a lane that met
+    drops out of the count (it only repeats the stored states), and its
+    states overwrite the stored ones up to that step. The repair stops
+    after _REPAIR_CAP steps, or once fewer than _MIN_REPAIR_LANES lanes
+    are left unmet; those keep their stored states, and the guess as
+    their start.
+    """
+    steps, count, nb = states.shape
+    starts = np.full((count, nb), guess)
+    i, b = np.nonzero(states[steps - 1, :, :-1] != guess)
+    b += 1
+    if i.size < _MIN_REPAIR_LANES:
+        return starts.tolist()
+    cap = min(steps, _REPAIR_CAP)
+    first = states[steps - 1, i, b - 1]
+    old = states[:cap, i, b]
+    draws = blocks[i, b, :cap].T
+    new = np.empty_like(old)
+    state = first.astype(np.intp)
+    for t in range(cap):
+        state = zero.take(state) | (draws[t] < cond.take(state))
+        new[t] = state
+        # a lane that met stays met, so the lanes left are those off old[t]
+        if np.count_nonzero(state != old[t]) < _MIN_REPAIR_LANES:
+            break
+    met = state == old[t]
+    i, b = i[met], b[met]
+    states[:t + 1, i, b] = new[:t + 1, met]
+    starts[i, b] = first[met]
+    return starts.tolist()
+
+
 def sample_orbit(table, length, seed):
     """Draw one orbit prefix: ``sample_orbits(table, length, 1, seed)[0]``."""
     return sample_orbits(table, length, 1, seed)[0]
+
+
+def _integer(value, name):
+    """`value` (an int or a numpy integer) as an int. A bool, whose
+    True would stand for 1, or a float, which int() would truncate,
+    raises TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
 def sample_orbits(table, length, count, seed):
@@ -721,20 +789,30 @@ def sample_orbits(table, length, count, seed):
     p_{we}/p_w; later symbols follow the order-(depth-1) Markov
     extension. Bit j of sample i is u_j < P(1 | its state), with
     u = default_rng(seed ^ i).random(length), so the output is
-    deterministic and sample i does not depend on the others.
+    deterministic and sample i does not depend on the others. `length`,
+    `count` and `seed` must be integers (numpy integers too); a bool or
+    a float raises TypeError.
 
     The orbits are drawn together, in batches of about a million bits
     that bound the memory used. Past its first depth-1 steps each orbit
     is cut into blocks, and numpy runs every block of every orbit as one
     lane, a step at a time; a block after the first starts from a
-    guess, the likeliest state. Then, block by block, a block whose true
-    start state differs from the guess is re-run one bit at a time until
-    its state meets the lane's, after which the two chains agree. The
-    bits are those of the per-bit rule, byte for byte; a chain that
-    never meets, such as a periodic orbit's, costs the per-bit loop plus
-    the vector pass. About sqrt(2 * bits) lanes balance the two passes,
-    and small draws take the per-bit loop alone.
+    guess, the likeliest state. A block whose predecessor's lane ended
+    off the guess is then re-run from that end state as one more numpy
+    lane, until it meets the stored lane, after which the two chains
+    agree. This vector repair is capped at a few dozen steps and stops
+    once few lanes are left. Last, block by block, a block whose true
+    start state differs from the one its stored bits assume (the few
+    left unmet, and any block after one of those) is re-run one bit at
+    a time until it meets them. The bits are those of the per-bit rule,
+    byte for byte; a chain that never meets, such as a periodic orbit's,
+    costs the per-bit loop plus the vector pass and the capped repair.
+    About sqrt(2 * bits) lanes balance the passes, and small draws take
+    the per-bit loop alone.
     """
+    length = _integer(length, "length")
+    count = _integer(count, "count")
+    seed = _integer(seed, "seed")
     if length < 1:
         raise ValueError("length must be >= 1")
     if count < 1:
@@ -745,7 +823,7 @@ def sample_orbits(table, length, count, seed):
     cond = _conditionals(table)
     guess = (1 << (table.depth - 1)) + int(np.argmax(table._floats(table.depth - 1)))
     source = f"table(depth={table.depth}, mode={table.mode})"
-    seeds = [int(seed) ^ i for i in range(count)]
+    seeds = [seed ^ i for i in range(count)]
     per_batch = max(1, _BATCH_BITS // length)
     out = []
     for lo in range(0, count, per_batch):

@@ -149,7 +149,10 @@ def test_window_codes_read_each_window_in_binary(data):
     assert codes.tolist() == [int(text[i:i + n], 2) for i in range(len(text) - n + 1)]
 
 
-@pytest.mark.parametrize("lengths", [(40,), (1, 3, 8), (300, 17, 64, 5), (2000, 1999)])
+# At n = 7, (133,), (134,) and (135,) give 127, 128 and 129 windows against
+# 2^7 = 128: both counting paths and the boundary between them.
+@pytest.mark.parametrize("lengths", [(40,), (1, 3, 8), (300, 17, 64, 5), (2000, 1999),
+                                     (133,), (134,), (135,)])
 def test_estimators_match_a_counter_reference(lengths):
     rng = np.random.default_rng(sum(lengths))
     samples = [(rng.random(length) < 0.3).astype(np.uint8) for length in lengths]

@@ -15,7 +15,8 @@ from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
 from shiftmaxent import measures
 from shiftmaxent.measures import MarkovMeasure, OrbitSample
 
-from helpers import periodic_orbit_table, product_mass, reference_validate
+from helpers import (periodic_orbit_table, product_mass, reference_orbit,
+                     reference_validate, two_point_table)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,49 @@ def test_sample_periodic_orbit_never_couples(monkeypatch):
     lines = [s.to_line() for s in samples]
     assert all(line in {point[k:k + 12000] for k in range(4)} for line in lines)
     assert {line[:4] for line in lines} == {point[k:k + 4] for k in range(4)}
+
+
+def _zero_block_depth_six():
+    spec = FrequencySpec.parse("1/2,3/10,3/20,1/20", tail="affine")
+    return build_max_entropy_table(spec, 6)
+
+
+@pytest.mark.parametrize("make, max_walks", [
+    pytest.param(_zero_block_depth_six, 200, id="mixing"),
+    pytest.param(lambda: periodic_orbit_table("0011", 8), None, id="periodic"),
+    pytest.param(lambda: two_point_table(F(3, 10), 5), None, id="two-point"),
+])
+def test_sample_lane_repair_at_workload_scale(monkeypatch, make, max_walks):
+    # 16 x 15,000 bits, the size of an orbit-stats draw. The mixing draw
+    # repairs its mis-guessed blocks as numpy lanes: it made 706 _walk
+    # calls when every such block was re-run by the scalar rule.
+    table = make()
+    walked = []
+    walk = measures._walk
+    monkeypatch.setattr(measures, "_walk",
+                        lambda *args: walked.append(len(args[3])) or walk(*args))
+    samples = sample_orbits(table, 15000, 16, seed=5)
+    if max_walks is not None:
+        assert len(walked) < max_walks
+    for i, sample in enumerate(samples):
+        assert sample.to_line() == reference_orbit(table, 15000, 5 ^ i)
+
+
+@pytest.mark.parametrize("length, count, seed", [
+    (1.5, 2, 7), (5, 2.0, 7), (5, 2, 1.5), (True, 2, 7), (5, True, 7),
+    (5, 2, False), (5, 2, "7"), (5, 2, np.float64(7)), (5, 2, np.True_)])
+def test_sample_rejects_non_integer_arguments(length, count, seed):
+    with pytest.raises(TypeError):
+        sample_orbits(bernoulli_table(0.4, 2), length, count, seed)
+
+
+def test_sample_takes_numpy_integers():
+    table = bernoulli_table(0.4, 2)
+    got = sample_orbits(table, np.int64(50), np.uint8(3), np.int32(9))
+    want = sample_orbits(table, 50, 3, 9)
+    assert [s.seed for s in got] == [9, 8, 11]
+    assert all(type(s.seed) is int for s in got)
+    assert [s.to_line() for s in got] == [s.to_line() for s in want]
 
 
 def test_sample_batch_uses_xor_seeds():
