@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .measures import _bits_array
+from .measures import _bits_array, _integer
 
 _MAX_WORD_LENGTH = 62  # packed into int64 window codes
 
@@ -54,6 +54,7 @@ def _word_counts(samples, n):
     """Occurrences of each distinct length-n word, pooled over the samples."""
     if not samples:
         raise ValueError("need at least one sample")
+    n = _integer(n, "n")
     if not 1 <= n <= _MAX_WORD_LENGTH:
         raise ValueError(f"word length must be in 1..{_MAX_WORD_LENGTH}")
     arrays = [_bits_array(s) for s in samples]

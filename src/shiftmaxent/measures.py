@@ -504,6 +504,7 @@ def markov_extend(measure, target_depth):
     zero denominator (see :func:`markov_step`).
     """
     k = measure.order
+    target_depth = _integer(target_depth, "target_depth")
     if target_depth < k + 1:
         raise ValueError(f"target depth {target_depth} < order+1 = {k + 1}")
     table = measure.table
@@ -600,18 +601,15 @@ def _conditionals(table):
 #: Uniforms held at once: orbits are drawn in batches of at most this
 #: many bits (or one orbit), which bounds the sampler's memory.
 _BATCH_BITS = 1 << 20
-#: Below about 90 lanes the vector pass and its repairs cost more than
-#: the per-bit loop they replace (measured at depths 3-8).
+#: Below about 90 lanes the vector pass and its check cost more than the
+#: per-bit loop they replace (measured at depths 3-8).
 _MIN_LANES = 96
+#: Steps each lane takes before its block: enough for a mixing table's
+#: chains to forget the guessed start, and few beside a block of
+#: hundreds of steps.
+_WARMUP = 32
 #: Steps the scalar check takes before it first checks for coupling.
 _REPAIR_STEPS = 8
-#: The vector repair hands its lanes to the scalar check once fewer than
-#: this many are left: a numpy step over so few lanes costs more than
-#: the per-bit steps it replaces.
-_MIN_REPAIR_LANES = 32
-#: Steps the vector repair takes at most; this bounds what it adds to a
-#: draw whose chains never meet, such as a periodic orbit's.
-_REPAIR_CAP = 32
 
 
 def _walk(cond, zero, state, u, bits, pos):
@@ -631,36 +629,33 @@ def _walk(cond, zero, state, u, bits, pos):
     return state
 
 
-def _blocks(count, length, depth):
-    """(head, nb, steps) for `count` orbits of `length` bits at `depth`:
-    each orbit takes `head` steps while its state grows, then nb blocks
-    of `steps` steps (the last may be shorter), and count * nb is about
-    sqrt(2 * count * length)."""
-    head = min(length, depth - 1)
-    rest = length - head
-    if not rest:
-        return head, 0, 0
-    nb = max(1, min(rest, round(math.isqrt(2 * count * length) / count)))
-    steps = -(-rest // nb)
-    return head, -(-rest // steps), steps
+def _blocks(count, length):
+    """(nb, steps) for `count` orbits of `length` bits: each orbit is cut
+    into nb blocks of `steps` steps (the last may be shorter), and
+    count * nb is about sqrt(2 * count * length)."""
+    nb = max(1, min(length, round(math.isqrt(2 * count * length) / count)))
+    steps = -(-length // nb)
+    return -(-length // steps), steps
 
 
 def _draw_bits(cond, guess, length, seeds):
     """Orbit i driven by default_rng(seeds[i]).random(length), as row i
-    of a uint8 array; `guess` is the state each block after the first
-    assumes at its start (see :func:`sample_orbits`).
+    of a uint8 array; `guess` is the state from which every block's lane
+    warms up (see :func:`sample_orbits`).
 
-    After the vector pass, :func:`_repair_lanes` re-runs the blocks whose
-    guess was wrong as numpy lanes, for at most _REPAIR_CAP steps. The
-    scalar check then re-runs bit by bit each block whose true start
-    differs from the start its stored states assume: the lanes the
-    repair left unmet, and the blocks after them.
+    Block b of orbit i is one numpy lane. It starts from `guess` at step
+    b * steps - _WARMUP, reading zeros before step 0, and stores its
+    states from its block's first step on; lane 0 is reset to the empty
+    history when its warm-up ends, so block 0 is exact. The scalar check
+    then compares each block's true start (the end of the block before
+    it) with its lane's state at the block start, and on a mismatch
+    re-runs the block bit by bit until the two chains meet.
     """
     count = len(seeds)
     end = cond.size
-    head, nb, steps = _blocks(count, length, end.bit_length() - 1)
-    rest = length - head
-    u = np.zeros((count, head + nb * steps))
+    nb, steps = _blocks(count, length)
+    padded = np.zeros((count, _WARMUP + nb * steps))
+    u = padded[:, _WARMUP:]
     for i, s in enumerate(seeds):
         np.random.default_rng(s).random(out=u[i, :length])
     if end == 2:    # depth 1: independent symbols
@@ -679,32 +674,33 @@ def _draw_bits(cond, guess, length, seeds):
         for i in range(count):
             _walk(condl, zerol, 1, u[i, :length].tolist(), bits, i * length)
         return out
-    # Vector pass: block b of orbit i is one lane, starting from the true
-    # state for b = 0 and from `guess` otherwise; states[t, i, b] is the
-    # lane's state after its step t, and the state's last bit is the bit.
-    state = np.full((count, nb), guess)
-    for i in range(count):
-        state[i, 0] = _walk(condl, zerol, 1, u[i, :head].tolist(), bits, i * length)
-    blocks = u[:, head:].reshape(count, nb, steps)
+    # Vector pass: lane (i, b) reads draws[i, b, t], the uniform of step
+    # b * steps - _WARMUP + t, and states[t, i, b] is its state after
+    # step b * steps + t; the state's last bit is the bit.
+    draws = np.lib.stride_tricks.sliding_window_view(
+        padded, _WARMUP + steps, axis=1)[:, ::steps]
     states = np.empty((steps, count, nb), dtype=np.min_scalar_type(end - 1))
+    state = np.full((count, nb), guess)
     p_one = np.empty((count, nb))
     one = np.empty_like(state)
     nxt = np.empty_like(state)
-    for t in range(steps):
+    for t in range(-_WARMUP, steps):
+        if t == 0:
+            state[:, 0] = 1
+            starts = state.tolist()
         cond.take(state, out=p_one, mode="clip")
-        np.less(blocks[:, :, t], p_one, out=one)
+        np.less(draws[:, :, _WARMUP + t], p_one, out=one)
         zero.take(state, out=nxt, mode="clip")
         np.bitwise_or(nxt, one, out=nxt)
         state, nxt = nxt, state
-        states[t] = state
-    starts = _repair_lanes(cond, zero, blocks, states, guess)
+        if t >= 0:
+            states[t] = state
     lanes = states.transpose(1, 2, 0).reshape(count, nb * steps)
-    np.bitwise_and(lanes[:, :rest], 1, out=out[:, head:])
-    # Check: block b's stored states start from starts[i][b]. A block
-    # whose true start state (the end of the block before it) is another
-    # is re-run by the scalar rule from its true state until that chain
-    # meets the stored one; they agree from there on.
-    sizes = [min(steps, rest - b * steps) for b in range(nb)]
+    np.bitwise_and(lanes[:, :length], 1, out=out)
+    # Check: a block whose true start state (the end of the block before
+    # it) is not its lane's is re-run by the scalar rule from its true
+    # state until that chain meets the lane; they agree from there on.
+    sizes = [min(steps, length - b * steps) for b in range(nb)]
     final = states[np.array(sizes) - 1, :, np.arange(nb)].T.tolist()
     for i in range(count):
         state = final[i][0]
@@ -712,7 +708,7 @@ def _draw_bits(cond, guess, length, seeds):
             if state == starts[i][b]:
                 state = final[i][b]
                 continue
-            pos = head + b * steps
+            pos = b * steps
             t, k = 0, _REPAIR_STEPS
             while t < sizes[b]:
                 k = min(k, sizes[b] - t)
@@ -724,45 +720,6 @@ def _draw_bits(cond, guess, length, seeds):
                     break
                 k *= 2
     return out
-
-
-def _repair_lanes(cond, zero, blocks, states, guess):
-    """The vector repair of :func:`_draw_bits`; returns the state each
-    block's stored `states` start from, as nested lists.
-
-    Every block whose predecessor's lane ended at a state other than the
-    guess is re-run from that end state as one more numpy lane. A lane
-    meets the block's stored states at the first step where the two
-    states are equal; the chains agree from there on, so a lane that met
-    drops out of the count (it only repeats the stored states), and its
-    states overwrite the stored ones up to that step. The repair stops
-    after _REPAIR_CAP steps, or once fewer than _MIN_REPAIR_LANES lanes
-    are left unmet; those keep their stored states, and the guess as
-    their start.
-    """
-    steps, count, nb = states.shape
-    starts = np.full((count, nb), guess)
-    i, b = np.nonzero(states[steps - 1, :, :-1] != guess)
-    b += 1
-    if i.size < _MIN_REPAIR_LANES:
-        return starts.tolist()
-    cap = min(steps, _REPAIR_CAP)
-    first = states[steps - 1, i, b - 1]
-    old = states[:cap, i, b]
-    draws = blocks[i, b, :cap].T
-    new = np.empty_like(old)
-    state = first.astype(np.intp)
-    for t in range(cap):
-        state = zero.take(state) | (draws[t] < cond.take(state))
-        new[t] = state
-        # a lane that met stays met, so the lanes left are those off old[t]
-        if np.count_nonzero(state != old[t]) < _MIN_REPAIR_LANES:
-            break
-    met = state == old[t]
-    i, b = i[met], b[met]
-    states[:t + 1, i, b] = new[:t + 1, met]
-    starts[i, b] = first[met]
-    return starts.tolist()
 
 
 def sample_orbit(table, length, seed):
@@ -794,21 +751,19 @@ def sample_orbits(table, length, count, seed):
     a float raises TypeError.
 
     The orbits are drawn together, in batches of about a million bits
-    that bound the memory used. Past its first depth-1 steps each orbit
-    is cut into blocks, and numpy runs every block of every orbit as one
-    lane, a step at a time; a block after the first starts from a
-    guess, the likeliest state. A block whose predecessor's lane ended
-    off the guess is then re-run from that end state as one more numpy
-    lane, until it meets the stored lane, after which the two chains
-    agree. This vector repair is capped at a few dozen steps and stops
-    once few lanes are left. Last, block by block, a block whose true
-    start state differs from the one its stored bits assume (the few
-    left unmet, and any block after one of those) is re-run one bit at
-    a time until it meets them. The bits are those of the per-bit rule,
-    byte for byte; a chain that never meets, such as a periodic orbit's,
-    costs the per-bit loop plus the vector pass and the capped repair.
-    About sqrt(2 * bits) lanes balance the passes, and small draws take
-    the per-bit loop alone.
+    that bound the memory used. Each orbit is cut into blocks, and numpy
+    runs every block of every orbit as one lane, a step at a time. A
+    lane starts from a guess, the likeliest state, a few dozen steps
+    before its block and follows the orbit's uniforms from there, so
+    that it mostly reaches the block in its true state; the first
+    block's lane restarts from the empty history at its block. Last,
+    block by block, a block whose true start state (the end of the
+    block before it) differs from its lane's is re-run one bit at a
+    time until the two chains meet, after which they agree. The bits
+    are those of the per-bit rule, byte for byte; a chain that never
+    meets, such as a periodic orbit's, costs the per-bit loop plus the
+    vector pass. About sqrt(2 * bits) lanes balance the passes, and
+    small draws take the per-bit loop alone.
     """
     length = _integer(length, "length")
     count = _integer(count, "count")

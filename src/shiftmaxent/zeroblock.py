@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleSpecError
-from .measures import EXACT, FLOAT, CylinderTable, markov_step, parse_mass
+from .measures import EXACT, FLOAT, CylinderTable, _integer, markov_step, parse_mass
 
 TAIL_CONSTANT = "constant"
 TAIL_AFFINE = "affine"
@@ -76,6 +76,7 @@ class FrequencySpec:
         r = parse_mass(ratio)
         if not 0 <= r <= 1:
             raise ValueError(f"ratio must lie in [0, 1], got {ratio!r}")
+        terms = _integer(terms, "terms")
         if terms < 1:
             raise ValueError("terms must be >= 1")
         return cls(prefix=tuple(r ** k for k in range(1, terms + 1)),
@@ -167,7 +168,7 @@ def check_feasible(spec, upto=None):
     m = len(spec.prefix)
     if upto is None:
         upto = _support_end(spec) + 2
-    elif upto < 0:
+    elif _integer(upto, "upto") < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     upto = max(upto, m)
     return _check_sequence(extend_spec(spec, upto), upto)
@@ -211,6 +212,7 @@ def build_max_entropy_table(spec, depth):
     put over their least common denominator); satisfies p_{0^k} = a_k
     for every k <= depth.
     """
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a = _sequence(spec, depth)
@@ -271,7 +273,7 @@ def entropy_closed_form(spec, truncation=None, units="nats"):
     if units not in ("nats", "bits"):
         raise ValueError(f"unknown units {units!r}")
     support = _support_end(spec)
-    j_max = support if truncation is None else int(truncation)
+    j_max = support if truncation is None else _integer(truncation, "truncation")
     if j_max < 0:
         raise ValueError("truncation must be >= 0")
     a = _sequence(spec, j_max + 2)

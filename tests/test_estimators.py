@@ -171,3 +171,16 @@ def test_entropy_estimates_checks_its_input():
             entropy_estimates(samples, n, delta)
     with pytest.raises(ValueError):
         entropy_estimates([], 5, 0.2)
+
+
+@pytest.mark.parametrize("estimate", [
+    word_count_entropy,
+    lambda s, n: katok_entropy(s, n, 0.2),
+    lambda s, n: entropy_estimates(s, n, 0.2),
+])
+def test_word_length_is_an_integer(estimate):
+    samples = sample_orbits(bernoulli_table(0.4, 2), 500, 2, seed=3)
+    for n in (True, 2.0, 2.5, np.float64(2), "2"):
+        with pytest.raises(TypeError):
+            estimate(samples, n)
+    assert estimate(samples, np.int32(4)) == estimate(samples, 4)

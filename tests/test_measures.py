@@ -133,6 +133,15 @@ def test_markov_extend_order0_product():
         assert table.prob(w) == product_mass(F(2, 3), w)
 
 
+@pytest.mark.parametrize("depth", [True, 4.5, 4.0, np.float64(4), "4"])
+def test_markov_extend_rejects_non_integer_depth(depth):
+    # int() would extend to depth 1 for True and to 5 for 4.5
+    base = markov_from_table(bernoulli_table(F(2, 3), 1))
+    with pytest.raises(TypeError):
+        markov_extend(base, depth)
+    assert markov_extend(base, np.int64(4)) == markov_extend(base, 4)
+
+
 def test_markov_extend_zero_propagation():
     # order-1 table with p_00 = 0: every extension containing "00" is null
     levels = [{"": F(1)},
@@ -310,25 +319,52 @@ def _zero_block_depth_six():
     return build_max_entropy_table(spec, 6)
 
 
-@pytest.mark.parametrize("make, max_walks", [
-    pytest.param(_zero_block_depth_six, 200, id="mixing"),
-    pytest.param(lambda: periodic_orbit_table("0011", 8), None, id="periodic"),
-    pytest.param(lambda: two_point_table(F(3, 10), 5), None, id="two-point"),
+def _slowly_coupling_depth_seven():
+    spec = FrequencySpec.parse("29/36,23/36", tail="affine")
+    return build_max_entropy_table(spec, 7)
+
+
+@pytest.mark.parametrize("make, length, count, seed, max_walks", [
+    pytest.param(_zero_block_depth_six, 15000, 16, 5, 16, id="mixing"),
+    pytest.param(lambda: periodic_orbit_table("0011", 8), 15000, 16, 5, None, id="periodic"),
+    pytest.param(lambda: two_point_table(F(3, 10), 5), 15000, 16, 5, None, id="two-point"),
+    pytest.param(_slowly_coupling_depth_seven, 10434, 23, 1035791421, None,
+                 id="slowly-coupling"),
 ])
-def test_sample_lane_repair_at_workload_scale(monkeypatch, make, max_walks):
-    # 16 x 15,000 bits, the size of an orbit-stats draw. The mixing draw
-    # repairs its mis-guessed blocks as numpy lanes: it made 706 _walk
-    # calls when every such block was re-run by the scalar rule.
+def test_sample_warmed_lanes_at_workload_scale(monkeypatch, make, length, count, seed,
+                                               max_walks):
+    # orbit-stats draw sizes. Each lane warms up before its block, so
+    # the mixing draw's lanes reach their blocks in the true state: it
+    # made 54 _walk calls when mis-guessed blocks were repaired instead.
+    # The slowly coupling draw's chains take long to meet.
     table = make()
     walked = []
     walk = measures._walk
     monkeypatch.setattr(measures, "_walk",
                         lambda *args: walked.append(len(args[3])) or walk(*args))
-    samples = sample_orbits(table, 15000, 16, seed=5)
+    samples = sample_orbits(table, length, count, seed)
     if max_walks is not None:
         assert len(walked) < max_walks
     for i, sample in enumerate(samples):
-        assert sample.to_line() == reference_orbit(table, 15000, 5 ^ i)
+        assert sample.to_line() == reference_orbit(table, length, seed ^ i)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_zero_block_depth_six, id="mixing"),
+    pytest.param(lambda: periodic_orbit_table("0011", 8), id="periodic"),
+    pytest.param(lambda: two_point_table(F(3, 10), 5), id="two-point"),
+])
+@pytest.mark.parametrize("count, length", [(48, 54), (48, 60), (96, 20), (200, 40)])
+def test_sample_blocks_shorter_than_the_warmup(make, count, length):
+    # enough lanes for the vector pass, with orbits of two blocks shorter
+    # than the warm-up (so lane 1 warms up partly on the zero pad) or of
+    # one block (so every lane is reset when its warm-up ends)
+    nb, steps = measures._blocks(count, length)
+    assert count * nb >= measures._MIN_LANES and (nb == 1 or steps < measures._WARMUP)
+    table = make()
+    samples = sample_orbits(table, length, count, seed=3)
+    assert [s.to_line() for s in samples] == [
+        reference_orbit(table, length, 3 ^ i) for i in range(count)]
 
 
 @pytest.mark.parametrize("length, count, seed", [

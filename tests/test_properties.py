@@ -179,8 +179,8 @@ def orbit_shapes(draw, depth):
         return count, draw(st.integers(1, 20000 // count))
     length = draw(st.integers(6000 // count, 20000 // count))
     if where == "block-end":
-        head, nb, steps = _blocks(count, length, depth)
-        length = head + nb * steps + draw(st.integers(-1, 1))
+        nb, steps = _blocks(count, length)
+        length = nb * steps + draw(st.integers(-1, 1))
     return count, length
 
 

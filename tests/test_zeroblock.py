@@ -353,3 +353,25 @@ def test_built_table_maximizes_final_ladder_level():
             if not validate(other, tolerance=1e-9).ok:
                 continue
             assert conditional_entropy(other, depth) <= h_built + 1e-9
+
+
+_SPEC = FrequencySpec.parse("1/2,1/4", tail="affine")
+_INTEGER_ARGUMENTS = pytest.mark.parametrize("call", [
+    pytest.param(lambda v: entropy_closed_form(_SPEC, truncation=v), id="truncation"),
+    pytest.param(lambda v: build_max_entropy_table(_SPEC, v), id="depth"),
+    pytest.param(lambda v: FrequencySpec.geometric("1/2", terms=v), id="terms"),
+    pytest.param(lambda v: check_feasible(_SPEC, upto=v), id="upto"),
+])
+
+
+@_INTEGER_ARGUMENTS
+@pytest.mark.parametrize("value", [True, 2.9, 3.0, np.float64(3), np.True_, "3"])
+def test_integer_arguments_reject_bools_and_floats(call, value):
+    # int() would read 2.9 as 2 and True as 1, and answer for those
+    with pytest.raises(TypeError):
+        call(value)
+
+
+@_INTEGER_ARGUMENTS
+def test_integer_arguments_take_numpy_integers(call):
+    assert call(np.int64(3)) == call(3)
