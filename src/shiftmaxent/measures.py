@@ -228,6 +228,7 @@ class CylinderTable:
 def bernoulli_table(p, depth):
     """Product (Bernoulli) measure with mass p on digit 0, to `depth`."""
     p = parse_mass(p)
+    depth = _integer(depth, "depth")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if isinstance(p, Fraction):
@@ -246,6 +247,7 @@ def bernoulli_table(p, depth):
 def point_mass_table(digit, depth):
     """Point mass on the constant sequence digit^infinity, to `depth`."""
     digit = str(digit)
+    depth = _integer(depth, "depth")
     if digit not in ("0", "1"):
         raise ValueError("digit must be 0 or 1")
     levels = []
@@ -283,6 +285,7 @@ def table_from_top_level(top, mode=None):
 
 def truncate_table(table, depth):
     """Restriction of `table` to the given smaller (or equal) depth."""
+    depth = _integer(depth, "depth")
     if not 1 <= depth <= table.depth:
         raise ValueError(f"depth {depth} out of range 1..{table.depth}")
     return CylinderTable._of(table._levels[:depth + 1], table._dens[:depth + 1],

@@ -12,18 +12,33 @@ The objective splits over sibling pairs,
 each f being a perspective of the binary entropy and hence concave.
 Each interval lo <= m.x <= hi gets two slacks, m.x - s_lo = lo and
 m.x + s_hi = hi, so the polytope is {z = (x, s_lo, s_hi) >= 0 : G z = g}.
-The solver runs one path:
+
+A solve at depth n runs at k = max(2, length of the longest constrained
+word) and returns the depth-k optimum extended to depth n as an
+order-(k-1) Markov measure (markov_extend). This is exact: every
+depth-n table has h^(n) <= h^(k) of its depth-k restriction, which
+meets the same constraints, and the extension keeps every level <= k
+and has h^(n) = h^(k). By the same extension, feasibility does not
+depend on n >= k. The reported KKT residual and iteration count are
+those of the depth-k problem; by h^(n) <= h^(k), a depth-k optimum
+they certify is a depth-n optimum as well. Where the maximizer is not
+unique (mu([01]) = 0 leaves every mixture of the two fixed points), the
+extended table may differ from the one a barrier at depth n would pick;
+the objective does not. At depth k the solver runs one path:
 
 1. max-support LP (HiGHS): over the homogenized cone {(z, tau) >= 0 :
-   G z = g tau}, maximize sum_i min(z_i, 1). The coordinates where the
-   minimum is 1 are the support of the feasible face; all others are 0
-   on the whole polytope and are dropped (an interval side whose slack
-   is never open becomes an equality), and z / tau is a strictly
-   feasible start. An empty support means the polytope is empty, and
-   only then an elastic LP runs to produce a separating certificate;
+   G z = g tau}, maximize sum_i min(z_i, 1), written with z = u + w as
+   max sum u over 0 <= u <= 1, w >= 0, tau >= 0 and
+   [G, G, -g] (u, w, tau) = 0. The coordinates where u_i = 1 are the
+   support of the feasible face; all others are 0 on the whole polytope
+   and are dropped (an interval side whose slack is never open becomes
+   an equality), and z / tau is a strictly feasible start. An empty
+   support means the polytope is empty, and only then an elastic LP
+   runs, at depth n, to produce a separating certificate whose rows are
+   named at depth n;
 2. barrier Newton: on the support, Newton steps in the null space of
    G, from one SVD that also absorbs dependent rows, maximize
-   h^(n) + mu sum_i log z_i for mu = 1e-2, 1e-3, ..., 1e-13; each stage
+   h^(k) + mu sum_i log z_i for mu = 1e-2, 1e-3, ..., 1e-13; each stage
    after the first starts with a tangent step along the central path;
 3. residual: the bound multipliers are zeta = -(grad h + G^T y), with y
    from the last Newton step, and the reported KKT residual is the
@@ -33,9 +48,10 @@ The solver runs one path:
 Any convergent concave maximizer would do; the contract is the reported
 KKT residual and constraint satisfaction.
 
-scipy (HiGHS, sparse matrices) is imported inside the functions that
-use it, so it loads on the first solve: importing this module, or
-running any CLI command but optimize and compare, does not.
+scipy (HiGHS) is imported inside the function that calls it, so it
+loads on the first solve: importing this module, or running any CLI
+command but optimize and compare, does not. Both LPs are passed as
+dense arrays.
 """
 
 from __future__ import annotations
@@ -47,8 +63,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintError
-from .measures import (FLOAT, CylinderTable, conditional_entropy,
-                       max_abs_deviation, parse_mass, table_from_top_level)
+from .measures import (FLOAT, CylinderTable, _integer, conditional_entropy,
+                       markov_extend, markov_from_table, max_abs_deviation,
+                       parse_mass, table_from_top_level)
 from .words import check_word
 from .zeroblock import build_max_entropy_table
 
@@ -231,11 +248,10 @@ def _elastic_certificate(G, g, names):
     optimum, the total violation. Each constraint gets the sum of its
     rows' multipliers; for an interval that is the net of its two sides.
     """
-    from scipy import sparse
     m, nz = G.shape
-    eye = sparse.identity(m, format="csr")
+    eye = np.eye(m)
     res = linprog(np.concatenate([np.zeros(nz), np.ones(2 * m)]),
-                  A_eq=sparse.hstack([G, eye, -eye]), b_eq=g,
+                  A_eq=np.hstack([G, eye, -eye]), b_eq=g,
                   bounds=(0.0, None), method="highs")
     duals = dict.fromkeys(names, 0.0)
     for name, y in zip(names, res.eqlin.marginals):
@@ -250,25 +266,27 @@ def _elastic_certificate(G, g, names):
 def _max_support(G, g):
     """Support of the feasible face of {z >= 0 : G z = g} and a point on it.
 
-    One LP over the homogenized cone {(z, tau) >= 0 : G z = g tau}
-    maximizes sum_i u_i with u_i <= min(z_i, 1). The cone is closed
+    Over the homogenized cone {(z, tau) >= 0 : G z = g tau}, one LP
+    maximizes sum_i u_i with 0 <= u_i <= min(z_i, 1). Substituting
+    z = u + w, the bound u <= z is w >= 0, so the LP has the variables
+    (u, w, tau), with 0 <= u <= 1 and w, tau >= 0, one row block
+    [G, G, -g] (u, w, tau) = 0 and no coupling rows. The cone is closed
     under addition, so the optimum sets u_i = 1 exactly on the largest
     support, where z_i >= 1; every other z_i is 0 on the whole polytope.
     On an empty polytope the cone is {0} (the normalization row forces
     x = 0 and then every slack is 0), so the support is empty.
     Returns (support mask, z / tau on the support).
     """
-    from scipy import sparse
     m, nz = G.shape
-    eye = sparse.identity(nz, format="csr")
-    A_eq = sparse.hstack([G, -g[:, None], sparse.csr_matrix((m, nz))])
-    A_ub = sparse.hstack([-eye, sparse.csr_matrix((nz, 1)), eye])
-    cost = np.concatenate([np.zeros(nz + 1), -np.ones(nz)])
-    bounds = [(0.0, None)] * (nz + 1) + [(0.0, 1.0)] * nz
-    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(nz), A_eq=A_eq,
-                  b_eq=np.zeros(m), bounds=bounds, method="highs")
-    support = res.x[nz + 1:] > 0.5
-    return support, res.x[:nz][support] / res.x[nz]
+    bounds = np.zeros((2 * nz + 1, 2))
+    bounds[:nz, 1] = 1.0
+    bounds[nz:, 1] = np.inf
+    res = linprog(np.concatenate([-np.ones(nz), np.zeros(nz + 1)]),
+                  A_eq=np.hstack([G, G, -g[:, None]]), b_eq=np.zeros(m),
+                  bounds=bounds, method="highs")
+    u, w, tau = res.x[:nz], res.x[nz:-1], res.x[-1]
+    support = u > 0.5
+    return support, (u + w)[support] / tau
 
 
 def _entropy(x, xs):
@@ -376,26 +394,10 @@ def _normalize_constraints(constraints):
     return ConstraintSet(tuple(constraints))
 
 
-def solve(depth, constraints=None):
-    """Maximize h^(depth) over invariant tables meeting the constraints.
-
-    Returns an :class:`OptimizationResult`; on feasible instances the
-    table is float-mode, passes validation, and the KKT residual of the
-    reported point is included; `iterations` counts Newton steps and
-    the tangent step that starts each barrier stage after the first.
-    An empty polytope, detected by the max-support LP, is reported with
-    a separating certificate.
-    """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    cset = _normalize_constraints(constraints)
-    G_all, g_all, names = _slack_form(depth, cset)
-    support, z = _max_support(G_all, g_all)
-    if not support.any():
-        return OptimizationResult(
-            STATUS_INFEASIBLE, None, None, kkt_residual=math.inf, iterations=0,
-            certificate=_elastic_certificate(G_all, g_all, names))
-
+def _interior_optimum(G_all, g_all, support, z, depth):
+    """(top level, KKT residual, steps) of the barrier solve at `depth`
+    on the feasible face `support` of {z >= 0 : G_all z = g_all}, from
+    the strictly feasible start z on it."""
     G = G_all[:, support]
     nv = 1 << depth
     xs = np.flatnonzero(support[:nv])
@@ -410,8 +412,47 @@ def solve(depth, constraints=None):
                              np.abs(z * zeta).max(),
                              np.abs(G_all @ z_all - g_all).max(),
                              _MU_STAGES[-1]))
+    return x, kkt_residual, steps
 
-    table = table_from_top_level(x, mode=FLOAT)
+
+def solve(depth, constraints=None):
+    """Maximize h^(depth) over invariant tables meeting the constraints.
+
+    The solve runs at k = max(2, length of the longest constrained
+    word) and extends the depth-k optimum as an order-(k-1) Markov
+    measure. That is exact: every depth-n table has h^(n) <= h^(k) of
+    its depth-k restriction, which meets the same constraints, and the
+    extension keeps every level <= k and has h^(n) = h^(k). Where the
+    maximizer is not unique (mu([01]) = 0 leaves every mixture of the
+    two fixed points), the extended table may differ from the one a
+    barrier at depth n would pick; the objective does not.
+
+    Returns an :class:`OptimizationResult`; on feasible instances the
+    table is float-mode, of depth `depth`, and passes validation, and
+    `objective` is its h^(depth). `kkt_residual` and `iterations` are
+    those of the depth-k problem, whose optimum bounds every depth-n
+    table by the inequality above; `iterations` counts Newton steps and
+    the tangent step that starts each barrier stage after the first.
+    An empty polytope, detected by the max-support LP at depth k, is
+    reported with a separating certificate from an elastic LP at
+    `depth`, whose rows are named at that depth.
+    """
+    depth = _integer(depth, "depth")
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    cset = _normalize_constraints(constraints)
+    # a word longer than depth leaves k = depth, where _slack_form rejects it
+    k = min(depth, max([2] + [len(e.word) for e in cset]))
+    G_all, g_all, _ = _slack_form(k, cset)
+    support, z = _max_support(G_all, g_all)
+    if not support.any():
+        return OptimizationResult(
+            STATUS_INFEASIBLE, None, None, kkt_residual=math.inf, iterations=0,
+            certificate=_elastic_certificate(*_slack_form(depth, cset)))
+
+    x, kkt_residual, steps = _interior_optimum(G_all, g_all, support, z, k)
+    table = markov_extend(
+        markov_from_table(table_from_top_level(x, mode=FLOAT)), depth)
     objective = conditional_entropy(table, depth)
     status = STATUS_OPTIMAL if kkt_residual <= 1e-9 else STATUS_MAX_ITER
     return OptimizationResult(status, table, objective,

@@ -297,6 +297,7 @@ def telescoping_increments(spec, upto):
     """phi(1)..phi(upto): the ladder steps h^(n+2) - h^(n+1) of the built
     measure, expressed through the a-values.
     """
+    upto = _integer(upto, "upto")
     if upto < 1:
         raise ValueError("upto must be >= 1")
     a = _sequence(spec, upto + 2)

@@ -150,8 +150,9 @@ _DEEP_FLOAT_BUILD_SHA256 = {
     14: "d3269bf150cd60437a16ebb24c3f679f319dde14bba94c92a5e431058255a95e",
     16: "201fd2b9c85a1c73e0c4be27ddc994cb4f5973b14dc5dfdf4fb8ddc66acdb5a8",
 }
+# The optimize file is the depth-2 solve of {"00": 0} extended to depth 5.
 _OPTIMIZE_OUT_SHA256 = \
-    "de9b2a29f3f69294ee2f0a3c5185a590f6f37d19db0f7fa59d94d34ccd252a0b"
+    "6a0d854e201ed7995eec6bdbf959fbb04944e7402e1efefd90b59bb78e4cdc0b"
 
 
 @pytest.mark.parametrize("depth", sorted(_DEEP_FLOAT_BUILD_SHA256))

@@ -9,8 +9,9 @@ from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
                          all_words, bernoulli_table, build_max_entropy_table,
                          conditional_entropy, dump_table, entropy_ladder,
                          markov_extend, markov_from_table, point_mass_table,
-                         sample_orbit, sample_orbits, table_from_json,
-                         table_from_top_level, table_text, table_to_json,
+                         sample_orbit, sample_orbits, solve,
+                         table_from_json, table_from_top_level, table_text,
+                         table_to_json, telescoping_increments,
                          truncate_table, validate)
 from shiftmaxent import measures
 from shiftmaxent.measures import MarkovMeasure, OrbitSample
@@ -140,6 +141,23 @@ def test_markov_extend_rejects_non_integer_depth(depth):
     with pytest.raises(TypeError):
         markov_extend(base, depth)
     assert markov_extend(base, np.int64(4)) == markov_extend(base, 4)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: bernoulli_table(0.5, v), id="bernoulli-depth"),
+    pytest.param(lambda v: point_mass_table(0, v), id="point-mass-depth"),
+    pytest.param(lambda v: truncate_table(bernoulli_table(0.5, 3), v),
+                 id="truncate-depth"),
+    pytest.param(lambda v: telescoping_increments(
+        FrequencySpec.parse("1/2,1/4"), v), id="telescoping-upto"),
+    pytest.param(solve, id="solve-depth"),
+])
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_depth_arguments_reject_bools_and_floats(call, value):
+    # True would stand for depth 1 (or upto 1), and solve(3.0) failed
+    # deep inside on a shift
+    with pytest.raises(TypeError):
+        call(value)
 
 
 def test_markov_extend_zero_propagation():

@@ -324,6 +324,28 @@ def test_solve_equality_at_depth_8_matches_depth_2():
     assert result.objective == pytest.approx(solve(2, cset).objective, abs=1e-9)
 
 
+def test_solve_at_depth_11_makes_one_lp(monkeypatch):
+    # took 13-15 s when the barrier ran at depth 11; the longest word has
+    # length 3, so the solve runs at depth 3 and extends
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    linprog = optimize.linprog
+    monkeypatch.setattr(optimize, "linprog", counting_linprog)
+    cset = ConstraintSet((Constraint("0", 0.3, 0.3),
+                          Constraint("010", 0.05, 0.1)))
+    result = solve(11, cset)
+    _assert_optimal(result, cset)
+    assert result.table.depth == 11
+    assert validate(result.table).ok
+    expected = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
+    assert result.objective == pytest.approx(expected, abs=1e-9)
+    assert len(calls) == 1
+
+
 _THREE_INTERVALS = ConstraintSet.from_json([
     {"word": "0", "lo": "68933/97000", "hi": "1847/2425"},
     {"word": "01", "lo": "17057/97000", "hi": "19191/97000"},
@@ -405,6 +427,20 @@ def test_same_answers_as_golden():
         assert status == case["status"], case["name"]
         assert objective == pytest.approx(case["objective"], abs=1e-9), \
             case["name"]
+
+
+@pytest.mark.parametrize("depth, words", [
+    (4, 8), (5, 13), (6, 21), (7, 34), (8, 55), (9, 89), (10, 144)])
+def test_max_support_finds_the_golden_mean_face(depth, words):
+    # mu([00]) = 0 leaves the n-words without 00, F(n+2) of them, and
+    # mu([0]) = 0.3 lies strictly inside the golden mean's range (0, 1/2)
+    G, g, _ = optimize._slack_form(
+        depth, ConstraintSet.equalities({"00": 0.0, "0": 0.3}))
+    support, start = optimize._max_support(G, g)
+    assert int(support[:1 << depth].sum()) == words
+    assert all("00" not in format(i, f"0{depth}b")
+               for i in np.flatnonzero(support[:1 << depth]))
+    assert start.min() > 0.0
 
 
 # ---------------------------------------------------------------------------

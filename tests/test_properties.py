@@ -1,17 +1,20 @@
-"""Property tests over random feasible zero-block specs."""
+"""Property tests over random feasible zero-block specs, tables and
+planted constraint sets."""
 
 import json
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import periodic_orbit_table, reference_orbit, reference_validate
-from shiftmaxent import (Constraint, CylinderTable, FrequencySpec,
+from shiftmaxent import (Constraint, CylinderTable, FrequencySpec, all_words,
                          bernoulli_table, build_max_entropy_table,
-                         compare_with_closed_form, entropy_closed_form,
-                         entropy_ladder, markov_extend, markov_from_table,
-                         point_mass_table, recurrence_profile, sample_orbits,
+                         compare_with_closed_form, conditional_entropy,
+                         entropy_closed_form, entropy_ladder, markov_extend,
+                         markov_from_table, point_mass_table,
+                         recurrence_profile, sample_orbits, solve,
                          table_from_json, table_from_top_level,
                          table_text, table_to_json, validate)
 from shiftmaxent.measures import _blocks, parse_mass
@@ -58,6 +61,55 @@ def test_solver_matches_built_table(spec, depth):
     assert report.result.status == "optimal"
     assert report.max_cylinder_deviation <= 1e-6
     assert report.objective_deviation <= 1e-6
+
+
+@st.composite
+def planted_markov_sets(draw):
+    """(depth, constraints, entropy rate): one to three words of length
+    at most 3, each pinned to its mass under a full-support order-1
+    Markov measure or held in an interval around it, at a depth 0-3
+    past k = max(2, longest word)."""
+    p01, p10 = (Fraction(draw(st.integers(15, 85)), 100) for _ in range(2))
+    pi0 = p10 / (p01 + p10)
+    step = {"00": 1 - p01, "01": p01, "10": p10, "11": 1 - p10}
+
+    def mass(word):
+        m = pi0 if word[0] == "0" else 1 - pi0
+        for j in range(len(word) - 1):
+            m *= step[word[j:j + 2]]
+        return m
+
+    rate = -sum(float(pi) * sum(float(step[s + t]) * math.log(float(step[s + t]))
+                                for t in "01")
+                for s, pi in (("0", pi0), ("1", 1 - pi0)))
+    words = draw(st.lists(st.sampled_from(
+        [w for n in (1, 2, 3) for w in all_words(n)]), min_size=1, max_size=3,
+        unique=True))
+    constraints = []
+    for word in words:
+        lo = hi = mass(word)
+        if draw(st.booleans()):
+            lo = max(Fraction(0), lo - Fraction(draw(st.integers(0, 50)), 1000))
+            hi = min(Fraction(1), hi + Fraction(draw(st.integers(0, 50)), 1000))
+        constraints.append(Constraint(word, lo, hi))
+    k = max(2, max(map(len, words)))
+    return k + draw(st.integers(0, 3)), constraints, rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_markov_sets())
+def test_solve_extends_a_depth_k_optimum(case):
+    depth, constraints, rate = case
+    result = solve(depth, constraints)
+    assert result.status == "optimal"
+    assert result.table.depth == depth
+    # the default float tolerance, the one sample --table applies
+    assert validate(result.table).ok
+    for c in constraints:
+        assert c.lo - 1e-9 <= result.table.prob(c.word) <= c.hi + 1e-9
+    assert abs(conditional_entropy(result.table, depth) - result.objective) <= 1e-12
+    # the planted measure meets the constraints
+    assert result.objective >= rate - 1e-9
 
 
 @settings(max_examples=60, deadline=None)
