@@ -16,7 +16,6 @@ import math
 import sys
 
 from . import __version__
-from .errors import UndefinedRatioError
 from .estimators import entropy_estimates
 # Kept as cli names because perfbench/spans.py wraps them; cmd_estimate calls neither.
 from .estimators import katok_entropy, word_count_entropy  # noqa: F401
@@ -277,7 +276,7 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, ValueError, UndefinedRatioError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

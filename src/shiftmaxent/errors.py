@@ -14,8 +14,4 @@ class InfeasibleSpecError(ValueError):
 
 
 class ConstraintError(ValueError):
-    """A constraint set is malformed or a cell constraint is violated."""
-
-
-class UndefinedRatioError(ZeroDivisionError):
-    """Ratio ergodic average whose denominator average vanishes."""
+    """A constraint set is malformed or the solver fails on a feasible spec."""

@@ -25,6 +25,10 @@ N_n / D_n, correctly rounded as ``float(Fraction)`` is. Every mass is
 finite. Tables are immutable after construction and safe to share
 across threads.
 
+A table of depth k + 1 also stands for the order-k Markov measure with
+those masses: :func:`markov_extend` takes the table itself and extends
+it to any depth by :func:`markov_step`.
+
 Every mass read from outside the package (table entries, spec values,
 constraint bounds, recurrence targets) goes through :func:`parse_mass`,
 the one rule for what is exact: strings, ints and Fractions are.
@@ -388,79 +392,6 @@ def validate(table, tolerance=None):
 # Markov measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovMeasure:
-    """Order-k Markov measure, determined by its (k+1)-cylinder masses."""
-
-    order: int
-    table: CylinderTable
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.table.depth != self.order + 1:
-            raise StructuralError(
-                f"order-{self.order} Markov measure needs a table of depth "
-                f"{self.order + 1}, got {self.table.depth}")
-
-
-def markov_from_table(table, order=None):
-    """The order-k Markov measure sharing `table`'s (k+1)-cylinder masses.
-
-    Defaults to the deepest available order, k = depth - 1.
-    """
-    if order is None:
-        order = table.depth - 1
-    return MarkovMeasure(order, truncate_table(table, order + 1))
-
-
-def _distinct(level):
-    """(codes, values): values lists the level's distinct entries in
-    order of appearance, and level[i] == values[codes[i]]."""
-    values = level.tolist()
-    ids = {p: i for i, p in enumerate(dict.fromkeys(values))}
-    return np.fromiter(map(ids.__getitem__, values), dtype=np.int64,
-                       count=len(values)), list(ids)
-
-
-def _exact_quotients(terms, pinned):
-    """(numerators, D) of the exact level whose cell i is p_x p_y / p_z,
-    or 0 where p_z is 0, with p_x = nx[ix[i]] / dx for the (nx, dx, ix)
-    of `terms` = [x, y, z]; `pinned` maps cells to Fractions that
-    replace the quotient. Each distinct (p_x, p_y, p_z) is divided out
-    once as a reduced fraction, and D is the lcm of their denominators."""
-    found = {}   # the zero-block build reads x and y from one level
-    codes, values = [], []
-    for level, _, index in terms:
-        if id(level) not in found:
-            found[id(level)] = _distinct(level)
-        code, value = found[id(level)]
-        codes.append(code[index])
-        values.append(value)
-    (cx, cy, cz), (vx, vy, vz) = codes, values
-    key = np.unique(cx * len(vy) + cy, return_inverse=True)[1] * len(vz) + cz
-    key[list(pinned)] = -1 - np.arange(len(pinned))
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
-    (_, dx, _), (_, dy, _), (_, dz, _) = terms
-    quotients = []
-    for i, x, y, z in zip(first.tolist(), cx[first].tolist(), cy[first].tolist(),
-                          cz[first].tolist()):
-        if i in pinned:
-            q = Fraction(pinned[i])
-            quotients.append((int(q.numerator), int(q.denominator)))
-            continue
-        num, den = vx[x] * vy[y] * dz, vz[z] * dx * dy
-        if not den:
-            quotients.append((0, 1))
-            continue
-        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        quotients.append((num // g, den // g))
-    den = math.lcm(*(d for _, d in quotients))
-    nums = np.empty(len(quotients), dtype=object)
-    nums[:] = [p * (den // d) for p, d in quotients]
-    return nums[cell], den
-
-
 def markov_step(table, memory, pinned=None):
     """`table` one level deeper by the order-`memory` Markov rule.
 
@@ -468,8 +399,9 @@ def markov_step(table, memory, pinned=None):
     word u of length m - 1 and symbol e, where v is the last `memory`
     symbols of u (0 <= memory < m - 1), and 0 where p_u or p_v is 0.
     `pinned` maps words of length m to masses that replace the rule.
-    An exact level evaluates each distinct quotient once and is put over
-    the least common denominator of its cells.
+    An exact level forms each cell as an integer ratio, reduces it by
+    its gcd and puts the level over the lcm of the reduced denominators,
+    its least common denominator.
     """
     m = table.depth + 1
     if not 0 <= memory < m - 1:
@@ -484,33 +416,42 @@ def markov_step(table, memory, pinned=None):
     x = u >> 1                       # u
     y = u & ((2 << memory) - 1)      # ve
     z = x & ((1 << memory) - 1)      # v
-    terms = [(table._levels[n], table._dens[n], index)
-             for n, index in ((m - 1, x), (memory + 1, y), (memory, z))]
+    levels, dens = table._levels, table._dens
+    px, py, pz = levels[m - 1][x], levels[memory + 1][y], levels[memory][z]
+    dx, dy, dz = dens[m - 1], dens[memory + 1], dens[memory]
     if table.mode == EXACT:
-        level, den = _exact_quotients(terms, pinned)
+        num, den = px * py * dz, pz * (dx * dy)
+        for i, p in pinned.items():
+            q = Fraction(p)
+            num[i], den[i] = q.numerator, q.denominator
+        dead = den == 0
+        num[dead], den[dead] = 0, 1
+        g = np.gcd(num, den)
+        g[den < 0] *= -1    # denominators stay positive under negative masses
+        num, den = num // g, den // g
+        lcd = math.lcm(*set(den.tolist()))
+        level, den = num * (lcd // den), lcd
     else:
-        px, py, pz = (level[index] for level, _, index in terms)
         level = np.divide(px * py, pz, out=np.zeros(1 << m),
                           where=(px != 0) & (pz != 0))
         level[list(pinned)] = list(pinned.values())
         level, den = _as_level(m, level, FLOAT)
-    return CylinderTable._of(table._levels + (level,), table._dens + (den,),
-                             table.mode)
+    return CylinderTable._of(levels + (level,), dens + (den,), table.mode)
 
 
-def markov_extend(measure, target_depth):
-    """Extend a Markov measure to a table of the requested depth.
+def markov_extend(table, target_depth):
+    """`table` extended to `target_depth` as the order-k Markov measure
+    of its top level, k = table.depth - 1.
 
     For n > k+1 the conditional of the next symbol depends only on the
     last k symbols:  p_{x_1..x_n} = p_{x_1..x_{n-1}} *
     p_{x_{n-k}..x_n} / p_{x_{n-k}..x_{n-1}}, with zero children under a
     zero denominator (see :func:`markov_step`).
     """
-    k = measure.order
+    k = table.depth - 1
     target_depth = _integer(target_depth, "target_depth")
     if target_depth < k + 1:
         raise ValueError(f"target depth {target_depth} < order+1 = {k + 1}")
-    table = measure.table
     while table.depth < target_depth:
         table = markov_step(table, k)
     return table
@@ -723,11 +664,6 @@ def _draw_bits(cond, guess, length, seeds):
                     break
                 k *= 2
     return out
-
-
-def sample_orbit(table, length, seed):
-    """Draw one orbit prefix: ``sample_orbits(table, length, 1, seed)[0]``."""
-    return sample_orbits(table, length, 1, seed)[0]
 
 
 def _integer(value, name):

@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import ConstraintError
 from .measures import (FLOAT, CylinderTable, _integer, conditional_entropy,
-                       markov_extend, markov_from_table, max_abs_deviation,
-                       parse_mass, table_from_top_level)
+                       markov_extend, max_abs_deviation, parse_mass,
+                       table_from_top_level)
 from .words import check_word
 from .zeroblock import build_max_entropy_table
 
@@ -137,32 +137,6 @@ class ConstraintSet:
 
     def to_json(self):
         return [{"word": e.word, "lo": e.lo, "hi": e.hi} for e in self.entries]
-
-
-def cell_maximize(a, b, c):
-    """Maximizer (t, u, v, w) of h(t)+h(u)+h(v)+h(w) subject to
-    t+v = a, u+w = b, t+u = c.
-
-    This is the independence split of a 2x2 cell with row sums (a, b)
-    and first-column sum c; it satisfies the cross-product identity
-    t*w = u*v. Returns all zeros when a + b = 0. Exact for Fraction
-    inputs.
-    """
-    for name, val in (("a", a), ("b", b), ("c", c)):
-        if val < -1e-12:
-            raise ConstraintError(f"{name} must be nonnegative, got {val}")
-    zero = (a + b + c) * 0
-    a = a if a > 0 else zero
-    b = b if b > 0 else zero
-    c = c if c > 0 else zero
-    s = a + b
-    if s < c - 1e-12:
-        raise ConstraintError(f"need a + b >= c, got a+b={s}, c={c}")
-    if s == 0:
-        return (zero, zero, zero, zero)
-    c = c if c <= s else s
-    r = s - c
-    return (a * c / s, b * c / s, a * r / s, b * r / s)
 
 
 @dataclass(frozen=True)
@@ -451,8 +425,7 @@ def solve(depth, constraints=None):
             certificate=_elastic_certificate(*_slack_form(depth, cset)))
 
     x, kkt_residual, steps = _interior_optimum(G_all, g_all, support, z, k)
-    table = markov_extend(
-        markov_from_table(table_from_top_level(x, mode=FLOAT)), depth)
+    table = markov_extend(table_from_top_level(x, mode=FLOAT), depth)
     objective = conditional_entropy(table, depth)
     status = STATUS_OPTIMAL if kkt_residual <= 1e-9 else STATUS_MAX_ITER
     return OptimizationResult(status, table, objective,

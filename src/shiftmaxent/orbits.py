@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedRatioError
-from .measures import OrbitSample, _bits_array, parse_mass
+from .measures import OrbitSample, _bits_array, _integer, parse_mass
 from .words import canonical_index, check_word
 
 
 def match_count(x, word, horizon):
     """Number of window starts j < horizon where `word` occurs in x;
-    the horizon must lie in 1..len(x)."""
+    the horizon must be an integer in 1..len(x)."""
     check_word(word)
+    horizon = _integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     bits = _bits_array(x)
@@ -52,6 +52,7 @@ def generic_point_half(length):
 
     Every zero-block frequency of this point converges to 1/2.
     """
+    length = _integer(length, "length")
     if length < 1:
         raise ValueError("length must be >= 1")
     blocks = []
@@ -88,16 +89,6 @@ def weighted_deviation(x, horizon, targets):
         weight = 2.0 ** (-canonical_index(word))
         total += weight * abs(recurrence(x, word, horizon) - float(target))
     return total
-
-
-def ratio_average(x, f_word, g_word, horizon):
-    """recurrence(f_word) / recurrence(g_word) at a common horizon."""
-    denominator = recurrence(x, g_word, horizon)
-    if denominator == 0.0:
-        raise UndefinedRatioError(
-            f"denominator word {g_word!r} never occurs in the first "
-            f"{horizon} windows")
-    return recurrence(x, f_word, horizon) / denominator
 
 
 @dataclass(frozen=True)

@@ -114,11 +114,6 @@ def extend_spec(spec, upto):
     return a
 
 
-def second_differences(a):
-    """d_j = a_j - 2 a_{j+1} + a_{j+2} for j = 0..len(a)-3."""
-    return [a[j] - 2 * a[j + 1] + a[j + 2] for j in range(len(a) - 2)]
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
@@ -191,6 +186,7 @@ def boundary_values(a, n):
     """Masses (p_{00^n0}, p_{00^n1}, p_{10^n0}, p_{10^n1}) around the
     all-zeros stem; the four values are nonnegative and sum to a_n.
     """
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(a) < n + 3:
@@ -284,13 +280,6 @@ def entropy_closed_form(spec, truncation=None, units="nats"):
         value /= math.log(2)
     return ClosedFormEntropy(value=value, exact=j_max >= support,
                              truncation=j_max, support_end=support, units=units)
-
-
-def level2_entropy(spec):
-    """h^(2) of the maximal-entropy measure, from the a-values alone."""
-    a = _sequence(spec, 2)
-    return (_h(a[2]) + 2 * _h(a[1] - a[2]) - _h(a[1]) - _h(1 - a[1])
-            + _h(1 - 2 * a[1] + a[2]))
 
 
 def telescoping_increments(spec, upto):

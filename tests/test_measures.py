@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
-                         all_words, bernoulli_table, build_max_entropy_table,
-                         conditional_entropy, dump_table, entropy_ladder,
-                         markov_extend, markov_from_table, point_mass_table,
-                         sample_orbit, sample_orbits, solve,
+                         all_words, bernoulli_table, boundary_values,
+                         build_max_entropy_table, conditional_entropy,
+                         dump_table, entropy_ladder, extend_spec,
+                         generic_point_half, markov_extend, point_mass_table,
+                         recurrence, recurrence_profile, sample_orbits, solve,
                          table_from_json, table_from_top_level, table_text,
                          table_to_json, telescoping_increments,
-                         truncate_table, validate)
+                         truncate_table, validate, weighted_deviation)
 from shiftmaxent import measures
-from shiftmaxent.measures import MarkovMeasure, OrbitSample
+from shiftmaxent.measures import OrbitSample
 
 from helpers import (periodic_orbit_table, product_mass, reference_orbit,
                      reference_validate, two_point_table)
@@ -126,7 +127,7 @@ def test_validate_levels_whose_denominators_do_not_divide():
 
 def test_markov_extend_order0_product():
     # independent digits with P(0) = 2/3: p_010 = (2/3)(1/3)(2/3) = 4/27
-    base = markov_from_table(bernoulli_table(F(2, 3), 1))
+    base = bernoulli_table(F(2, 3), 1)
     table = markov_extend(base, 3)
     assert table.prob("010") == F(4, 27)
     assert validate(table).ok
@@ -137,7 +138,7 @@ def test_markov_extend_order0_product():
 @pytest.mark.parametrize("depth", [True, 4.5, 4.0, np.float64(4), "4"])
 def test_markov_extend_rejects_non_integer_depth(depth):
     # int() would extend to depth 1 for True and to 5 for 4.5
-    base = markov_from_table(bernoulli_table(F(2, 3), 1))
+    base = bernoulli_table(F(2, 3), 1)
     with pytest.raises(TypeError):
         markov_extend(base, depth)
     assert markov_extend(base, np.int64(4)) == markov_extend(base, 4)
@@ -151,11 +152,20 @@ def test_markov_extend_rejects_non_integer_depth(depth):
     pytest.param(lambda v: telescoping_increments(
         FrequencySpec.parse("1/2,1/4"), v), id="telescoping-upto"),
     pytest.param(solve, id="solve-depth"),
+    pytest.param(generic_point_half, id="generic-length"),
+    pytest.param(lambda v: boundary_values(
+        extend_spec(FrequencySpec.parse("1/2,1/4"), 6), v), id="boundary-n"),
+    pytest.param(lambda v: recurrence([0, 1, 0, 1], "", v), id="recurrence-horizon"),
+    pytest.param(lambda v: weighted_deviation([0, 1, 0, 1], v, [("0", "1/2")]),
+                 id="deviation-horizon"),
+    pytest.param(lambda v: recurrence_profile([0, 1, 0, 1], ["0"], v),
+                 id="profile-horizon"),
 ])
 @pytest.mark.parametrize("value", [True, 2.0])
 def test_depth_arguments_reject_bools_and_floats(call, value):
-    # True would stand for depth 1 (or upto 1), and solve(3.0) failed
-    # deep inside on a shift
+    # True would stand for depth 1 (or upto, length, n or horizon 1),
+    # solve(3.0) failed deep inside on a shift, and a float horizon
+    # divided a count by itself: recurrence(x, "", 50.5) was 1.0
     with pytest.raises(TypeError):
         call(value)
 
@@ -165,7 +175,7 @@ def test_markov_extend_zero_propagation():
     levels = [{"": F(1)},
               {"0": F(2, 5), "1": F(3, 5)},
               {"00": F(0), "01": F(2, 5), "10": F(2, 5), "11": F(1, 5)}]
-    base = MarkovMeasure(1, CylinderTable(levels))
+    base = CylinderTable(levels)
     table = markov_extend(base, 4)
     assert validate(table).ok
     for w in all_words(4):
@@ -174,7 +184,7 @@ def test_markov_extend_zero_propagation():
 
 
 def test_markov_extend_uniform_depth5():
-    base = markov_from_table(bernoulli_table(F(1, 2), 1))
+    base = bernoulli_table(F(1, 2), 1)
     table = markov_extend(base, 5)
     assert all(table.prob(w) == F(1, 32) for w in all_words(5))
 
@@ -201,14 +211,13 @@ def test_markov_extend_restriction_is_identity():
         table = CylinderTable(levels)
         if not validate(table).ok:
             continue
-        base = MarkovMeasure(1, table)
-        extended = markov_extend(base, 5)
+        extended = markov_extend(table, 5)
         assert validate(extended).ok
         assert truncate_table(extended, 2) == table
 
 
 def test_markov_extend_rejects_shallow_target():
-    base = markov_from_table(bernoulli_table(F(1, 2), 3))
+    base = bernoulli_table(F(1, 2), 3)
     with pytest.raises(ValueError):
         markov_extend(base, 2)
 
@@ -270,7 +279,7 @@ def test_entropy_ladder_non_increasing_for_markov_tables():
                   {"00": p0 * q0, "01": p0 * (1 - q0),
                    "10": (1 - p0) * q1, "11": (1 - p0) * (1 - q1)}]
         table = CylinderTable(levels, mode="float")
-        extended = markov_extend(MarkovMeasure(1, table), 6)
+        extended = markov_extend(table, 6)
         ladder = entropy_ladder(extended)
         for i in range(len(ladder) - 1):
             assert ladder[i + 1][1] <= ladder[i][1] + 1e-12
@@ -282,14 +291,14 @@ def test_entropy_ladder_non_increasing_for_markov_tables():
 # ---------------------------------------------------------------------------
 
 def test_sample_bernoulli_frequency():
-    sample = sample_orbit(bernoulli_table(0.5, 1), 10**6, seed=2024)
+    sample = sample_orbits(bernoulli_table(0.5, 1), 10**6, 1, seed=2024)[0]
     freq0 = 1.0 - sample.bits.mean()
     assert abs(freq0 - 0.5) <= 0.005
 
 
 def test_sample_point_mass_all_ones():
     for seed in (0, 1, 99):
-        sample = sample_orbit(point_mass_table(1, 3), 500, seed=seed)
+        sample = sample_orbits(point_mass_table(1, 3), 500, 1, seed=seed)[0]
         assert sample.bits.all()
 
 
@@ -309,9 +318,9 @@ def test_sample_two_point_mixture():
 
 def test_sample_reproducible_and_seed_sensitive():
     table = bernoulli_table(0.4, 2)
-    s1 = sample_orbit(table, 4000, seed=123)
-    s2 = sample_orbit(table, 4000, seed=123)
-    s3 = sample_orbit(table, 4000, seed=124)
+    s1 = sample_orbits(table, 4000, 1, seed=123)[0]
+    s2 = sample_orbits(table, 4000, 1, seed=123)[0]
+    s3 = sample_orbits(table, 4000, 1, seed=124)[0]
     assert np.array_equal(s1.bits, s2.bits)
     assert not np.array_equal(s1.bits, s3.bits)
 
@@ -407,7 +416,7 @@ def test_sample_batch_uses_xor_seeds():
     batch = sample_orbits(table, 300, 4, seed=1000)
     for i, sample in enumerate(batch):
         assert sample.seed == 1000 ^ i
-        alone = sample_orbit(table, 300, seed=1000 ^ i)
+        alone = sample_orbits(table, 300, 1, seed=1000 ^ i)[0]
         assert np.array_equal(sample.bits, alone.bits)
 
 
@@ -429,7 +438,7 @@ def test_sample_invalid_table_rejected():
     levels = [{"": 1.0}, {"0": 0.7, "1": 0.7}]
     bad = CylinderTable(levels, mode="float")
     with pytest.raises(ValueError):
-        sample_orbit(bad, 10, seed=0)
+        sample_orbits(bad, 10, 1, seed=0)
 
 
 def test_sample_ensemble_mean_matches_cylinder_mass():

@@ -9,83 +9,11 @@ import pytest
 from shiftmaxent import optimize
 from shiftmaxent import (Constraint, ConstraintError, ConstraintSet,
                          FrequencySpec, all_words, bernoulli_table,
-                         cell_maximize, compare_with_closed_form,
-                         max_abs_deviation, solve, validate)
+                         compare_with_closed_form, max_abs_deviation, solve,
+                         validate)
 from shiftmaxent.zeroblock import extend_spec
 
 from helpers import random_feasible_spec, solve_answer
-
-
-def _entropy4(t, u, v, w):
-    total = 0.0
-    for x in (t, u, v, w):
-        if x > 0:
-            total += -x * math.log(x)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# cell_maximize
-# ---------------------------------------------------------------------------
-
-def test_cell_symmetric():
-    assert cell_maximize(0.5, 0.5, 0.5) == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_cell_known_point_and_grid_oracle():
-    t, u, v, w = cell_maximize(0.4, 0.5, 0.3)
-    assert (t, u, v, w) == pytest.approx((2 / 15, 1 / 6, 4 / 15, 1 / 3), abs=1e-12)
-    # grid search over the one-dimensional feasible segment
-    a, b, c = 0.4, 0.5, 0.3
-    best = -1.0
-    lo, hi = max(0.0, b - c), min(b, a + b - c)
-    for wv in np.linspace(lo, hi, 100001):
-        val = _entropy4(c - b + wv, b - wv, a + b - c - wv, wv)
-        best = max(best, val)
-    assert _entropy4(t, u, v, w) >= best - 1e-9
-
-
-def test_cell_degenerate():
-    assert cell_maximize(0.0, 0.5, 0.0) == (0.0, 0.0, 0.0, 0.5)
-    assert cell_maximize(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_cell_exact_fractions():
-    t, u, v, w = cell_maximize(F(2, 5), F(1, 2), F(3, 10))
-    assert (t, u, v, w) == (F(2, 15), F(1, 6), F(4, 15), F(1, 3))
-    assert t * w == u * v
-
-
-def test_cell_violation_error():
-    with pytest.raises(ConstraintError):
-        cell_maximize(0.1, 0.1, 0.5)
-    with pytest.raises(ConstraintError):
-        cell_maximize(-0.1, 0.5, 0.2)
-
-
-def test_cell_linear_constraints_and_cross_product():
-    rng = np.random.default_rng(101)
-    for _ in range(2000):
-        a, b = rng.uniform(0, 1, size=2)
-        c = rng.uniform(0, 1) * (a + b)
-        t, u, v, w = cell_maximize(a, b, c)
-        assert abs(t + v - a) <= 1e-14
-        assert abs(u + w - b) <= 1e-14
-        assert abs(t + u - c) <= 1e-14
-        assert abs(t * w - u * v) <= 1e-12
-        assert min(t, u, v, w) >= -1e-15
-
-
-def test_cell_dominates_random_feasible_points():
-    rng = np.random.default_rng(202)
-    for _ in range(200):
-        a, b = rng.uniform(0, 1, size=2)
-        c = rng.uniform(0, 1) * (a + b)
-        opt = _entropy4(*cell_maximize(a, b, c))
-        lo, hi = max(0.0, b - c), min(b, a + b - c)
-        for wv in rng.uniform(lo, hi, size=50):
-            val = _entropy4(c - b + wv, b - wv, a + b - c - wv, wv)
-            assert val <= opt + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from shiftmaxent import (UndefinedRatioError, bernoulli_table,
-                         generic_point_half, match_count, ratio_average,
-                         recurrence, recurrence_profile, sample_orbit,
+from shiftmaxent import (bernoulli_table, generic_point_half, match_count,
+                         recurrence, recurrence_profile, sample_orbits,
                          weighted_deviation)
 
 
@@ -107,7 +106,7 @@ def test_generic_point_boundary_word_rare():
 
 def test_weighted_deviation_bernoulli():
     from shiftmaxent import all_words
-    x = sample_orbit(bernoulli_table(0.5, 1), 10**6, seed=5)
+    x = sample_orbits(bernoulli_table(0.5, 1), 10**6, 1, seed=5)[0]
     targets = [(w, 2.0 ** -len(w)) for n in (1, 2, 3) for w in all_words(n)]
     assert weighted_deviation(x, 10**6, targets) <= 0.01
 
@@ -152,32 +151,6 @@ def test_weighted_deviation_pseudometric():
     lhs = weighted_deviation(x, n, list(zip(words, alpha)))
     rhs = d_xy + weighted_deviation(y, n, list(zip(words, alpha)))
     assert lhs <= rhs + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# ratio averages
-# ---------------------------------------------------------------------------
-
-def test_ratio_average_bernoulli():
-    x = sample_orbit(bernoulli_table(0.5, 1), 10**6, seed=6)
-    assert abs(ratio_average(x, "00", "0", 10**6) - 0.5) <= 0.01
-
-
-def test_ratio_average_all_zeros():
-    x = np.zeros(10**4, dtype=np.uint8)
-    value = ratio_average(x, "00", "0", 10**4)
-    assert value == pytest.approx(1.0, abs=1e-3)
-
-
-def test_ratio_average_periodic():
-    x = _periodic01(10**4)
-    assert ratio_average(x, "00", "0", 10**4) == 0.0
-
-
-def test_ratio_average_zero_denominator():
-    x = np.ones(100, dtype=np.uint8)
-    with pytest.raises(UndefinedRatioError):
-        ratio_average(x, "1", "0", 100)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from shiftmaxent import (Constraint, CylinderTable, FrequencySpec, all_words,
                          bernoulli_table, build_max_entropy_table,
                          compare_with_closed_form, conditional_entropy,
                          entropy_closed_form, entropy_ladder, markov_extend,
-                         markov_from_table, point_mass_table,
-                         recurrence_profile, sample_orbits, solve,
-                         table_from_json, table_from_top_level,
+                         point_mass_table, recurrence_profile, sample_orbits,
+                         solve, table_from_json, table_from_top_level,
                          table_text, table_to_json, validate)
-from shiftmaxent.measures import _blocks, parse_mass
+from shiftmaxent.measures import _blocks, markov_step, parse_mass
 
 
 @st.composite
@@ -158,7 +157,7 @@ def exact_tables(draw):
     else:
         spec = _exact(draw(feasible_specs()))
         base = build_max_entropy_table(spec, order + 1)
-    return markov_extend(markov_from_table(base), depth)
+    return markov_extend(base, depth)
 
 
 @settings(max_examples=120, deadline=None)
@@ -180,6 +179,31 @@ def test_exact_validate_matches_fraction_reference(table, data):
     assert report.ok == (not expect)
     assert [(v.kind, v.word, v.residual) for v in report.violations] == [
         (kind, w, float(r)) for kind, w, r in expect]
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=exact_tables(), data=st.data())
+def test_exact_markov_step_matches_fraction_reference(table, data):
+    depth = table.depth
+    memory = data.draw(st.integers(0, depth - 1))
+    # Each pinned sibling pair splits its parent's mass, so the new level
+    # stays consistent with the table and its lcd can be checked below.
+    words = list(all_words(depth))
+    parents = data.draw(st.lists(st.sampled_from(words), max_size=4, unique=True))
+    pinned = {}
+    for u in parents:
+        share = data.draw(rationals(0, 1))
+        pinned[u + "0"] = share * table.prob(u)
+        pinned[u + "1"] = (1 - share) * table.prob(u)
+    stepped = markov_step(table, memory, pinned)
+    top = stepped.level(depth + 1)
+    for w, p in top.items():
+        u, e = w[:-1], w[-1]
+        v = u[depth - memory:]
+        pu, pv = table.prob(u), table.prob(v)
+        rule = 0 if pu == 0 or pv == 0 else pu * table.prob(v + e) / pv
+        assert p == pinned.get(w, rule), w
+    assert table_from_top_level(top) == stepped   # the least common denominator
 
 
 @st.composite

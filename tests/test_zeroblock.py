@@ -8,8 +8,8 @@ from shiftmaxent import (FrequencySpec, InfeasibleSpecError, all_words,
                          bernoulli_table, boundary_values,
                          build_max_entropy_table, check_feasible,
                          conditional_entropy, entropy_closed_form,
-                         entropy_ladder, extend_spec, level2_entropy,
-                         second_differences, telescoping_increments, validate)
+                         entropy_ladder, extend_spec, telescoping_increments,
+                         validate)
 
 from helpers import period_two_table, random_feasible_spec, two_point_table
 
@@ -85,7 +85,7 @@ def test_constant_specs_always_feasible(a):
     spec = FrequencySpec(prefix=(a,))
     assert check_feasible(spec, upto=12).feasible
     seq = extend_spec(spec, 12)
-    d = second_differences(seq)
+    d = [seq[j] - 2 * seq[j + 1] + seq[j + 2] for j in range(len(seq) - 2)]
     assert d[0] == 1 - a
     assert all(v == 0 for v in d[1:])
 
@@ -268,15 +268,6 @@ def test_telescoping_matches_ladder_differences():
             assert diff == pytest.approx(phis[i], abs=1e-9)
 
 
-def test_level2_entropy_matches_table():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        spec = random_feasible_spec(rng)
-        table = build_max_entropy_table(spec, 2)
-        assert conditional_entropy(table, 2) == \
-            pytest.approx(level2_entropy(spec), abs=1e-12)
-
-
 def test_ladder_agrees_with_closed_form():
     # h^(2) + sum phi(n) telescopes to h^(N); with the d-support covered
     # the ladder has stabilized and equals the closed form
@@ -285,7 +276,8 @@ def test_ladder_agrees_with_closed_form():
         spec = random_feasible_spec(rng, max_terms=4)
         support = len(spec.prefix)
         depth = support + 2
-        value = level2_entropy(spec) + sum(telescoping_increments(spec, depth - 2))
+        level2 = conditional_entropy(build_max_entropy_table(spec, 2), 2)
+        value = level2 + sum(telescoping_increments(spec, depth - 2))
         closed = entropy_closed_form(spec)
         assert closed.exact
         assert value == pytest.approx(closed.value, abs=1e-9)
