@@ -11,10 +11,10 @@ from .errors import ConstraintError, InfeasibleSpecError, StructuralError
 from .estimators import entropy_estimates, katok_entropy, word_count_entropy
 from .measures import (EXACT, FLOAT, CylinderTable, OrbitSample,
                        ValidationReport, bernoulli_table, conditional_entropy,
-                       dump_table, entropy_ladder, load_table, markov_extend,
-                       max_abs_deviation, point_mass_table, sample_orbits,
-                       table_from_json, table_from_top_level, table_text,
-                       table_to_json, truncate_table, validate)
+                       entropy_ladder, load_table, markov_extend,
+                       max_abs_deviation, sample_orbits, table_from_json,
+                       table_from_top_level, table_text, table_to_json,
+                       truncate_table, validate)
 from .optimize import (ComparisonReport, Constraint, ConstraintSet,
                        OptimizationResult, compare_with_closed_form, solve)
 from .orbits import (RecurrenceProfile, generic_point_half, match_count,

@@ -82,7 +82,7 @@ def _load_samples(paths):
             for line in fh:
                 line = line.strip()
                 if line:
-                    samples.append(OrbitSample.from_line(line, source=f"file:{path}"))
+                    samples.append(OrbitSample.from_line(line))
     if not samples:
         raise ValueError("no samples found in the given files")
     return samples
@@ -105,8 +105,9 @@ def cmd_build(args):
 def cmd_entropy(args):
     spec = _spec_from_args(args)
     units = "bits" if args.bits else "nats"
-    closed = entropy_closed_form(spec, truncation=args.truncation, units=units)
+    closed = entropy_closed_form(spec, truncation=args.truncation)
     scale = math.log(2) if args.bits else 1.0
+    value = closed.value / scale
     table = build_max_entropy_table(spec, args.depth)
     ladder = entropy_ladder(table)
     phis = telescoping_increments(spec, args.depth - 2) if args.depth >= 3 else []
@@ -115,12 +116,12 @@ def cmd_entropy(args):
         worst = max(worst, abs(phis[i - 1] / scale
                                - (ladder[i][1] - ladder[i - 1][1]) / scale))
     tag = "exact" if closed.exact else "truncated"
-    print(f"entropy={closed.value:.6f} {units} ({tag}, J={closed.truncation})")
-    print(f"value={closed.value!r}")
+    print(f"entropy={value:.6f} {units} ({tag}, J={closed.truncation})")
+    print(f"value={value!r}")
     for n, h in ladder:
         print(f"h({n})={h / scale!r}")
     print(f"telescoping_check={worst!r}")
-    print(f"ladder_gap={(ladder[-1][1] / scale - closed.value)!r}")
+    print(f"ladder_gap={(ladder[-1][1] / scale - value)!r}")
     return 0
 
 

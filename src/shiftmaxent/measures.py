@@ -248,20 +248,6 @@ def bernoulli_table(p, depth):
     return CylinderTable._of(levels, [den ** n for n in range(depth + 1)], mode)
 
 
-def point_mass_table(digit, depth):
-    """Point mass on the constant sequence digit^infinity, to `depth`."""
-    digit = str(digit)
-    depth = _integer(depth, "depth")
-    if digit not in ("0", "1"):
-        raise ValueError("digit must be 0 or 1")
-    levels = []
-    for n in range(depth + 1):
-        level = np.zeros(1 << n, dtype=object)
-        level[0 if digit == "0" else -1] = 1
-        levels.append(level)
-    return CylinderTable._of(levels, [1] * (depth + 1), EXACT)
-
-
 def table_from_top_level(top, mode=None):
     """Build a table from its deepest level by summing children.
 
@@ -502,11 +488,10 @@ def _bits_array(x):
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """A finite binary sequence with its provenance."""
+    """A finite binary sequence and the seed that drew it (0 if not drawn)."""
 
     bits: np.ndarray
     seed: int
-    source: str
 
     def __post_init__(self):
         bits = _bits_array(self.bits)
@@ -521,9 +506,9 @@ class OrbitSample:
         return (self.bits + ord("0")).tobytes().decode("ascii")
 
     @classmethod
-    def from_line(cls, line, source="file"):
+    def from_line(cls, line):
         bits = np.frombuffer(line.strip().encode("ascii"), dtype=np.uint8) - ord("0")
-        return cls(bits=bits, seed=0, source=source)
+        return cls(bits=bits, seed=0)
 
 
 def _conditionals(table):
@@ -716,13 +701,12 @@ def sample_orbits(table, length, count, seed):
         raise ValueError(f"invalid table: {report.describe()}")
     cond = _conditionals(table)
     guess = (1 << (table.depth - 1)) + int(np.argmax(table._floats(table.depth - 1)))
-    source = f"table(depth={table.depth}, mode={table.mode})"
     seeds = [seed ^ i for i in range(count)]
     per_batch = max(1, _BATCH_BITS // length)
     out = []
     for lo in range(0, count, per_batch):
         batch = seeds[lo:lo + per_batch]
-        out.extend(OrbitSample(bits=bits, seed=s, source=source)
+        out.extend(OrbitSample(bits=bits, seed=s)
                    for s, bits in zip(batch, _draw_bits(cond, guess, length, batch)))
     return out
 
@@ -805,11 +789,6 @@ def table_from_json(obj):
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
     return CylinderTable(levels, mode=mode)
-
-
-def dump_table(table, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table_text(table))
 
 
 def load_table(path):

@@ -34,8 +34,8 @@ the objective does not. At depth k the solver runs one path:
    and are dropped (an interval side whose slack is never open becomes
    an equality), and z / tau is a strictly feasible start. An empty
    support means the polytope is empty, and only then an elastic LP
-   runs, at depth n, to produce a separating certificate whose rows are
-   named at depth n;
+   runs on the same depth-k system, to produce a separating certificate
+   whose rows are named at depth k (see solve for why it holds at n);
 2. barrier Newton: on the support, Newton steps in the null space of
    G, from one SVD that also absorbs dependent rows, maximize
    h^(k) + mu sum_i log z_i for mu = 1e-2, 1e-3, ..., 1e-13; each stage
@@ -134,9 +134,6 @@ class ConstraintSet:
             return cls(tuple(Constraint(e["word"], e["lo"], e["hi"]) for e in obj))
         except (KeyError, TypeError) as exc:
             raise ConstraintError(f"malformed constraint JSON: {exc}") from exc
-
-    def to_json(self):
-        return [{"word": e.word, "lo": e.lo, "hi": e.hi} for e in self.entries]
 
 
 @dataclass(frozen=True)
@@ -408,8 +405,12 @@ def solve(depth, constraints=None):
     table by the inequality above; `iterations` counts Newton steps and
     the tangent step that starts each barrier stage after the first.
     An empty polytope, detected by the max-support LP at depth k, is
-    reported with a separating certificate from an elastic LP at
-    `depth`, whose rows are named at that depth.
+    reported with a separating certificate from an elastic LP on the
+    same depth-k system, whose rows are named at depth k. It certifies
+    every depth n >= k: the mass and normalization rows are the same at
+    every depth, and the depth-k row invariance[v] is the sum of the
+    depth-n rows invariance[v s] over the words s of length n - k, so
+    giving each invariance[v s] the dual of invariance[v] lifts it.
     """
     depth = _integer(depth, "depth")
     if depth < 2:
@@ -417,12 +418,12 @@ def solve(depth, constraints=None):
     cset = _normalize_constraints(constraints)
     # a word longer than depth leaves k = depth, where _slack_form rejects it
     k = min(depth, max([2] + [len(e.word) for e in cset]))
-    G_all, g_all, _ = _slack_form(k, cset)
+    G_all, g_all, names = _slack_form(k, cset)
     support, z = _max_support(G_all, g_all)
     if not support.any():
         return OptimizationResult(
             STATUS_INFEASIBLE, None, None, kkt_residual=math.inf, iterations=0,
-            certificate=_elastic_certificate(*_slack_form(depth, cset)))
+            certificate=_elastic_certificate(G_all, g_all, names))
 
     x, kkt_residual, steps = _interior_optimum(G_all, g_all, support, z, k)
     table = markov_extend(table_from_top_level(x, mode=FLOAT), depth)

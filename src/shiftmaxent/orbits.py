@@ -9,6 +9,7 @@ function; the resulting boundary error is at most (|w| + 1)/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,11 @@ def generic_point_half(length):
     length = _integer(length, "length")
     if length < 1:
         raise ValueError("length must be >= 1")
-    blocks = []
-    total = 0
-    run = 1
-    while total < length:
-        blocks.append(np.zeros(run, dtype=np.uint8))
-        blocks.append(np.ones(run, dtype=np.uint8))
-        total += 2 * run
-        run += 1
-    bits = np.concatenate(blocks)[:length]
-    return OrbitSample(bits=bits, seed=0,
-                       source="alternating runs 0^k 1^k")
+    # runs 0^1 1^1 0^2 1^2 ...; r pairs with r (r + 1) > length suffice
+    r = math.isqrt(length) + 1
+    bits = np.repeat(np.tile(np.array([0, 1], dtype=np.uint8), r),
+                     np.arange(2, 2 * r + 2) // 2)[:length]
+    return OrbitSample(bits=bits, seed=0)
 
 
 def weighted_deviation(x, horizon, targets):
@@ -76,19 +71,12 @@ def weighted_deviation(x, horizon, targets):
     words (index 1 for "0"), not from the position in `targets`. Each
     target is read by :func:`measures.parse_mass` and must lie in [0, 1].
     """
-    seen = set()
-    total = 0.0
-    for word, alpha in targets:
-        check_word(word)
-        if word in seen:
-            raise ValueError(f"duplicate target word {word!r}")
-        seen.add(word)
-        target = parse_mass(alpha)
-        if not 0 <= target <= 1:
-            raise ValueError(f"target {alpha!r} of {word!r} outside [0, 1]")
-        weight = 2.0 ** (-canonical_index(word))
-        total += weight * abs(recurrence(x, word, horizon) - float(target))
-    return total
+    targets = list(targets)   # it may be an iterator, read twice below
+    profile = recurrence_profile(x, [w for w, _ in targets], horizon,
+                                 targets=[alpha for _, alpha in targets])
+    return sum((2.0 ** -canonical_index(w) * abs(average - target)
+                for w, average, target in zip(profile.words, profile.averages,
+                                              profile.targets)), 0.0)
 
 
 @dataclass(frozen=True)

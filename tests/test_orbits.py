@@ -87,6 +87,8 @@ def test_recurrence_child_consistency():
 def test_generic_point_prefix():
     assert generic_point_half(20).to_line() == "01001100011100001111"
     assert generic_point_half(5).to_line() == "01001"
+    # one past the end of the fourth run pair
+    assert generic_point_half(21).to_line() == "010011000111000011110"
 
 
 def test_generic_point_zero_block_frequencies():
@@ -129,6 +131,8 @@ def test_weighted_deviation_duplicates_rejected():
 def test_weighted_deviation_reads_targets_as_masses():
     x = _periodic01(100)
     assert weighted_deviation(x, 100, [("0", "1/4")]) == 0.5 * 0.25
+    # an iterator of targets is read once, not exhausted by a first pass
+    assert weighted_deviation(x, 100, iter([("0", "1/4")])) == 0.5 * 0.25
     for bad in (True, 7.0, "1/0", "1e400"):
         with pytest.raises((TypeError, ValueError)):
             weighted_deviation(x, 100, [("0", bad)])

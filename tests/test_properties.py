@@ -13,9 +13,9 @@ from shiftmaxent import (Constraint, CylinderTable, FrequencySpec, all_words,
                          bernoulli_table, build_max_entropy_table,
                          compare_with_closed_form, conditional_entropy,
                          entropy_closed_form, entropy_ladder, markov_extend,
-                         point_mass_table, recurrence_profile, sample_orbits,
-                         solve, table_from_json, table_from_top_level,
-                         table_text, table_to_json, validate)
+                         recurrence_profile, sample_orbits, solve,
+                         table_from_json, table_from_top_level, table_text,
+                         table_to_json, validate)
 from shiftmaxent.measures import _blocks, markov_step, parse_mass
 
 
@@ -218,7 +218,7 @@ def sampled_tables(draw):
         p = Fraction(draw(st.integers(0, 64)), 64)
         return bernoulli_table(p if draw(st.booleans()) else float(p), depth)
     if kind == "point":
-        return point_mass_table(draw(st.sampled_from("01")), depth)
+        return bernoulli_table(draw(st.sampled_from([1, 0])), depth)
     word = draw(st.sampled_from(["0011", "001", "01", "0001011"]))
     return periodic_orbit_table(word, depth)
 

@@ -231,12 +231,6 @@ def test_entropy_period_two_zero():
     assert abs(result.value) <= 1e-12
 
 
-def test_entropy_bits_mode():
-    spec = FrequencySpec.geometric(F(1, 2), terms=60)
-    result = entropy_closed_form(spec, units="bits")
-    assert result.value == pytest.approx(1.0, abs=1e-9)
-
-
 def test_entropy_rejects_infeasible():
     with pytest.raises(InfeasibleSpecError):
         entropy_closed_form(FrequencySpec.parse("1/2,0.45,0.1"))
